@@ -38,7 +38,7 @@ from .pipeline import (
     sweep_interactions,
     sweep_k,
 )
-from .ranking import RankedFeatures
+from .ranking import METHODS, RankedFeatures
 
 PLTR_FEATURE_WARNING = 40
 
@@ -63,6 +63,15 @@ def _int_list(text: str) -> list[int]:
         return [int(part) for part in text.split(",") if part.strip()]
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a comma-separated int list: {text!r}")
+
+
+def _warn_pltr_size(kind: str, d: int) -> None:
+    if kind == "pltr" and d > PLTR_FEATURE_WARNING:
+        print(
+            f"warning: pltr with {d} features fits "
+            f"{d * (d - 1) // 2} pair splits; expect a long run",
+            file=sys.stderr,
+        )
 
 
 def cmd_prepare(args) -> int:
@@ -94,12 +103,7 @@ def cmd_train(args) -> int:
     train = load_cached_dataset(args.train)
     test = load_cached_dataset(args.test)
     config = _read_json(args.model_config) if args.model_config else None
-    if args.kind == "pltr" and train.d > PLTR_FEATURE_WARNING:
-        print(
-            f"warning: pltr with {train.d} features fits "
-            f"{train.d * (train.d - 1) // 2} pair splits; expect a long run",
-            file=sys.stderr,
-        )
+    _warn_pltr_size(args.kind, train.d)
     model, report = step1_train_base(train, test, args.kind, config, args.threshold)
     persist.save_model(model, args.out_model)
     print(json.dumps(report.as_dict(), indent=2))
@@ -121,12 +125,7 @@ def cmd_reduce_train(args) -> int:
     test = load_cached_dataset(args.test)
     ranked = _read_ranking(args.ranking)
     config = _read_json(args.model_config) if args.model_config else None
-    if args.kind == "pltr" and args.k > PLTR_FEATURE_WARNING:
-        print(
-            f"warning: pltr with {args.k} features fits "
-            f"{args.k * (args.k - 1) // 2} pair splits; expect a long run",
-            file=sys.stderr,
-        )
+    _warn_pltr_size(args.kind, args.k)
     model, report = step3_train_reduced(
         train, test, ranked, args.k, args.kind, config, args.threshold
     )
@@ -284,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train a model on all features")
     p.add_argument("--train", required=True)
     p.add_argument("--test", required=True)
-    p.add_argument("--kind", required=True, choices=["lr", "gbdt", "ebm", "pltr"])
+    p.add_argument("--kind", required=True, choices=persist.MODEL_KINDS)
     p.add_argument("--model-config", default=None, help="JSON config overrides")
     p.add_argument("--out-model", required=True)
     add_threshold(p)
@@ -293,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rank", help="rank features by importance in a model")
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--method", required=True, choices=["coef", "shap", "ebm"])
+    p.add_argument("--method", required=True, choices=METHODS)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_rank)
 
@@ -302,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--test", required=True)
     p.add_argument("--ranking", required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--kind", required=True, choices=["lr", "gbdt", "ebm", "pltr"])
+    p.add_argument("--kind", required=True, choices=persist.MODEL_KINDS)
     p.add_argument("--model-config", default=None)
     p.add_argument("--out-model", required=True)
     add_threshold(p)

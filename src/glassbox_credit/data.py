@@ -148,8 +148,8 @@ class Dataset:
             raise DataError("y and w must match the number of rows")
         if d != len(self.feature_names):
             raise DataError("feature_names length must match X columns")
-        if np.isnan(self.X).any():
-            raise DataError("X contains missing values")
+        if not np.isfinite(self.X).all():
+            raise DataError("X contains missing or infinite values")
         if not np.isin(self.y, (0.0, 1.0)).all():
             raise DataError("labels must be 0/1")
         if not (self.w > 0).all():
@@ -164,14 +164,15 @@ class Dataset:
         return self.X.shape[1]
 
     def select_features(self, names: list[str]) -> "Dataset":
-        """Column subset; selected columns keep their original order."""
+        """Column subset; selected columns keep their original order.
+        Selecting every column shares X rather than copying it."""
         index = {n: i for i, n in enumerate(self.feature_names)}
         missing = [n for n in names if n not in index]
         if missing:
             raise DataError(f"unknown features: {missing}")
         idx = sorted(index[n] for n in names)
         return Dataset(
-            X=self.X[:, idx],
+            X=self.X if idx == list(range(self.d)) else self.X[:, idx],
             y=self.y.copy(),
             w=self.w.copy(),
             feature_names=[self.feature_names[i] for i in idx],
@@ -384,13 +385,19 @@ def standardize(train: Dataset, test: Dataset):
     stds = train.X.std(axis=0)  # population (1/n)
 
     def transform(data: Dataset) -> Dataset:
-        Z = data.X - means
-        nonzero = stds > 0
-        Z[:, nonzero] /= stds[nonzero]
-        Z[:, ~nonzero] = 0.0
-        return Dataset(Z, data.y.copy(), data.w.copy(), list(data.feature_names))
+        return Dataset(zscore(data.X, means, stds), data.y.copy(), data.w.copy(),
+                       list(data.feature_names))
 
     return transform(train), transform(test), means, stds
+
+
+def zscore(X, means, stds) -> np.ndarray:
+    """(X - means) / stds per column; zero-variance columns map to zeros."""
+    Z = X - means
+    nonzero = stds > 0
+    Z[:, nonzero] /= stds[nonzero]
+    Z[:, ~nonzero] = 0.0
+    return Z
 
 
 def cache_dataset(data: Dataset, csv_path, manifest_path, stats=None):

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import expit
 
-from .data import Dataset
+from .data import Dataset, zscore
 from .errors import ConvergenceError, DataError
 
 RIDGE = 1e-6
@@ -52,11 +52,7 @@ class LinearModel:
                 f"expected {len(self.coef)} features, got {X.shape[1]}"
             )
         if self.means is not None:
-            Z = X - self.means
-            nonzero = self.stds > 0
-            Z[:, nonzero] /= self.stds[nonzero]
-            Z[:, ~nonzero] = 0.0
-            return Z
+            return zscore(X, self.means, self.stds)
         return X
 
     def decision_margin(self, X):

@@ -34,9 +34,23 @@ def _validate(scores, labels):
     labels = np.asarray(labels)
     if scores.shape != labels.shape or scores.ndim != 1:
         raise DataError("scores and labels must be 1-D and equal length")
+    if not np.isfinite(scores).all():
+        raise DataError("scores must be finite")
     if not np.isin(labels, (0, 1)).all():
         raise DataError("labels must be binary 0/1")
     return scores, labels.astype(int)
+
+
+def _tie_blocks(scores, labels):
+    """Walk the scores from highest to lowest, one block per distinct value.
+
+    Returns (tp, seen): positives and rows at or above each block's score,
+    one entry per block.
+    """
+    order = np.argsort(-scores, kind="mergesort")
+    s = scores[order]
+    ends = np.append(np.flatnonzero(s[1:] != s[:-1]), s.size - 1)
+    return np.cumsum(labels[order])[ends], ends + 1
 
 
 def auroc(scores, labels) -> float:
@@ -46,24 +60,13 @@ def auroc(scores, labels) -> float:
     n_neg = labels.size - n_pos
     if n_pos == 0 or n_neg == 0:
         raise DataError("AUROC needs both classes present")
-    ranks = _tied_ranks(scores)
-    pos_rank_sum = ranks[labels == 1].sum()
+    tp, seen = _tie_blocks(scores, labels)
+    # a block's ascending ranks run n - seen + 1 .. n - seen_before; every
+    # term is a half-integer, so the sum is exact in any order
+    seen_before = np.append(0, seen[:-1])
+    mean_rank = labels.size - 0.5 * (seen + seen_before) + 0.5
+    pos_rank_sum = (np.diff(tp, prepend=0) * mean_rank).sum()
     return float((pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
-
-
-def _tied_ranks(x: np.ndarray) -> np.ndarray:
-    """1-based ranks with ties mapped to the mean rank of the tie block."""
-    order = np.argsort(x, kind="mergesort")
-    ranks = np.empty(x.size, dtype=float)
-    sx = x[order]
-    i = 0
-    while i < x.size:
-        j = i
-        while j + 1 < x.size and sx[j + 1] == sx[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
 
 
 def auprc(scores, labels) -> float:
@@ -72,25 +75,11 @@ def auprc(scores, labels) -> float:
     n_pos = int(labels.sum())
     if n_pos == 0:
         raise DataError("AUPRC needs at least one positive")
-    order = np.argsort(-scores, kind="mergesort")
-    s, y = scores[order], labels[order]
-    ap = 0.0
-    tp = fp = 0
-    prev_recall = 0.0
-    i = 0
-    n = y.size
-    while i < n:
-        j = i
-        while j + 1 < n and s[j + 1] == s[i]:
-            j += 1
-        tp += int(y[i : j + 1].sum())
-        fp += (j - i + 1) - int(y[i : j + 1].sum())
-        recall = tp / n_pos
-        precision = tp / (tp + fp)
-        ap += (recall - prev_recall) * precision
-        prev_recall = recall
-        i = j + 1
-    return float(ap)
+    tp, seen = _tie_blocks(scores, labels)
+    recall = tp / n_pos
+    # cumsum, not sum: a running total block by block, highest score first;
+    # np.sum adds pairwise and can round differently
+    return float(np.cumsum(np.diff(recall, prepend=0.0) * (tp / seen))[-1])
 
 
 def confusion(scores, labels, threshold: float):
@@ -155,51 +144,19 @@ def log_loss(probs, labels, weights=None) -> float:
 def roc_curve(scores, labels):
     """(fpr, tpr) points at every distinct score threshold, descending."""
     scores, labels = _validate(scores, labels)
-    order = np.argsort(-scores, kind="mergesort")
-    s, y = scores[order], labels[order]
-    n_pos = int(y.sum())
-    n_neg = y.size - n_pos
+    n_pos = int(labels.sum())
+    n_neg = labels.size - n_pos
     if n_pos == 0 or n_neg == 0:
         raise DataError("ROC curve needs both classes present")
-    pts = [(0.0, 0.0)]
-    tp = fp = 0
-    i = 0
-    while i < y.size:
-        j = i
-        while j + 1 < y.size and s[j + 1] == s[i]:
-            j += 1
-        tp += int(y[i : j + 1].sum())
-        fp += (j - i + 1) - int(y[i : j + 1].sum())
-        pts.append((fp / n_neg, tp / n_pos))
-        i = j + 1
-    return pts
+    tp, seen = _tie_blocks(scores, labels)
+    return [(0.0, 0.0)] + list(zip(((seen - tp) / n_neg).tolist(), (tp / n_pos).tolist()))
 
 
 def pr_curve(scores, labels):
     """(recall, precision) points at every distinct score threshold."""
     scores, labels = _validate(scores, labels)
-    order = np.argsort(-scores, kind="mergesort")
-    s, y = scores[order], labels[order]
-    n_pos = int(y.sum())
+    n_pos = int(labels.sum())
     if n_pos == 0:
         raise DataError("PR curve needs at least one positive")
-    pts = []
-    tp = fp = 0
-    i = 0
-    while i < y.size:
-        j = i
-        while j + 1 < y.size and s[j + 1] == s[i]:
-            j += 1
-        tp += int(y[i : j + 1].sum())
-        fp += (j - i + 1) - int(y[i : j + 1].sum())
-        pts.append((tp / n_pos, tp / (tp + fp)))
-        i = j + 1
-    return pts
-
-
-def write_curve_csv(points, path):
-    """Two-column CSV of curve points for external plotting."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("x,y\n")
-        for x, y in points:
-            fh.write(f"{x!r},{y!r}\n")
+    tp, seen = _tie_blocks(scores, labels)
+    return list(zip((tp / n_pos).tolist(), (tp / seen).tolist()))

@@ -20,7 +20,6 @@ from .linear import LinearModel
 from .pltr import PairSplitSpec, PltrModel, StumpSpec
 
 FORMAT_VERSION = 1
-MODEL_KINDS = ("lr", "gbdt", "ebm", "pltr")
 
 
 def _floats(arr) -> list[float]:
@@ -168,30 +167,31 @@ def _pltr_restore(body: dict) -> PltrModel:
     )
 
 
-_PAYLOAD = {
-    LinearModel: ("lr", _lr_payload),
-    GbdtModel: ("gbdt", _gbdt_payload),
-    EbmModel: ("ebm", _ebm_payload),
-    PltrModel: ("pltr", _pltr_payload),
+# model kind -> (model class, payload writer, payload reader)
+_CODECS = {
+    "lr": (LinearModel, _lr_payload, _lr_restore),
+    "gbdt": (GbdtModel, _gbdt_payload, _gbdt_restore),
+    "ebm": (EbmModel, _ebm_payload, _ebm_restore),
+    "pltr": (PltrModel, _pltr_payload, _pltr_restore),
 }
-_RESTORE = {"lr": _lr_restore, "gbdt": _gbdt_restore, "ebm": _ebm_restore, "pltr": _pltr_restore}
+MODEL_KINDS = tuple(_CODECS)
 
 
 def model_kind(model) -> str:
-    for cls, (kind, _) in _PAYLOAD.items():
+    for kind, (cls, _, _) in _CODECS.items():
         if isinstance(model, cls):
             return kind
     raise ModelFormatError(f"unsupported model type {type(model).__name__}")
 
 
 def envelope(model, train_manifest_hash: str | None = None) -> dict:
-    kind, payload = _PAYLOAD[type(model)]
+    kind = model_kind(model)
     return {
         "format_version": FORMAT_VERSION,
         "model_kind": kind,
         "created_by": f"glassbox-credit {__version__}",
         "train_manifest_hash": train_manifest_hash,
-        "payload": payload(model),
+        "payload": _CODECS[kind][1](model),
     }
 
 
@@ -201,7 +201,6 @@ def dumps(model, train_manifest_hash: str | None = None) -> str:
     ``json.dump`` uses ``repr`` for floats, which is the shortest decimal
     that round-trips, so no precision is lost.
     """
-    model_kind(model)  # raises on unsupported type
     return json.dumps(envelope(model, train_manifest_hash), indent=2) + "\n"
 
 
@@ -223,7 +222,7 @@ def from_envelope(env: dict):
     if not isinstance(payload, dict):
         raise ModelFormatError("missing payload")
     try:
-        return _RESTORE[kind](payload)
+        return _CODECS[kind][2](payload)
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelFormatError(f"malformed {kind} payload: {exc}") from exc
 

@@ -27,17 +27,17 @@ from .data import (
     engineer_fico,
     ingest_csv,
     prepare,
-    standardize,
+    zscore,
 )
 from .ebm import EbmConfig, EbmModel, detect_pairs, fit_ebm, fit_pairs, importance_ebm
 from .errors import DataError, GlassboxError
 from .gbdt import GbdtConfig, GbdtModel, fit_gbdt
 from .linear import LinearModel, fit_logistic
-from .metrics import MetricReport, evaluate_scores
+from .metrics import evaluate_scores
+from .persist import MODEL_KINDS
 from .pltr import fit_pltr
-from .ranking import RankedFeatures
+from .ranking import METHODS, RankedFeatures, rank_from_scores
 
-MODEL_KINDS = ("lr", "gbdt", "ebm", "pltr")
 PLATEAU_EPS = 0.002
 
 
@@ -143,20 +143,11 @@ def train_model(kind: str, train: Dataset, config: dict | None = None):
     if kind == "lr":
         means = train.X.mean(axis=0)
         stds = train.X.std(axis=0)
-        Z = train.X - means
-        nonzero = stds > 0
-        Z[:, nonzero] /= stds[nonzero]
-        Z[:, ~nonzero] = 0.0
-        std_data = Dataset(Z, train.y, train.w, list(train.feature_names))
-        fitted = fit_logistic(std_data, **(config or {}))
-        return LinearModel(
-            intercept=fitted.intercept,
-            coef=fitted.coef,
-            feature_names=fitted.feature_names,
-            means=means,
-            stds=stds,
-            diagnostics=fitted.diagnostics,
-        )
+        std_data = Dataset(zscore(train.X, means, stds), train.y, train.w,
+                           list(train.feature_names))
+        model = fit_logistic(std_data, **(config or {}))
+        model.means, model.stds = means, stds
+        return model
     if kind == "gbdt":
         return fit_gbdt(train, _model_config("gbdt", config))
     if kind == "ebm":
@@ -174,10 +165,7 @@ def step1_train_base(
     threshold: float = 0.5,
 ):
     """Train the reference model on every feature with class weights."""
-    weighted = apply_class_weights(train)
-    model = train_model(kind, weighted, config)
-    report = evaluate_scores(model.predict_proba(test.X), test.y, threshold)
-    return model, report
+    return _fit_scored(train, test, train.feature_names, kind, config, threshold)
 
 
 def step2_rank(model, data: Dataset, method: str) -> RankedFeatures:
@@ -191,8 +179,6 @@ def step2_rank(model, data: Dataset, method: str) -> RankedFeatures:
             raise DataError("coef ranking requires a linear model")
         if model.stds is None:
             raise DataError("coef ranking requires standardization statistics")
-        from .ranking import rank_from_scores
-
         return rank_from_scores(
             model.feature_names, np.abs(model.coef).tolist(), method="coef"
         )
@@ -204,7 +190,7 @@ def step2_rank(model, data: Dataset, method: str) -> RankedFeatures:
         if not isinstance(model, EbmModel):
             raise DataError("ebm ranking requires an ebm model")
         return importance_ebm(model, data)
-    raise DataError(f"unknown ranking method {method!r}; options: coef|shap|ebm")
+    raise DataError(f"unknown ranking method {method!r}; options: {'|'.join(METHODS)}")
 
 
 def step3_train_reduced(
@@ -217,14 +203,24 @@ def step3_train_reduced(
     threshold: float = 0.5,
 ):
     """Restrict both splits to the top-k ranked columns and retrain."""
-    if not 1 <= k <= train.d:
-        raise DataError(f"k must be in [1, {train.d}], got {k}")
-    names = ranked.top(k)
+    return _fit_scored(train, test, ranked.top(k), kind, config, threshold)
+
+
+def _fit_scored(train, test, names, kind, config, threshold, report=None):
+    """Fit ``kind`` on the ``names`` columns of the class-weighted train
+    split and score the test split. With ``report``, also score the train
+    split and add the row. Returns (model, test metrics)."""
+    if not 1 <= len(names) <= train.d:
+        raise DataError(f"k must be in [1, {train.d}], got {len(names)}")
     red_train = apply_class_weights(train.select_features(names))
-    red_test = test.select_features(names)
     model = train_model(kind, red_train, config)
-    report = evaluate_scores(model.predict_proba(red_test.X), test.y, threshold)
-    return model, report
+    test_rep = evaluate_scores(
+        model.predict_proba(test.select_features(names).X), test.y, threshold
+    )
+    if report is not None:
+        train_rep = evaluate_scores(model.predict_proba(red_train.X), train.y, threshold)
+        report.add_row(kind, names, train_rep, test_rep)
+    return model, test_rep
 
 
 def sweep_k(
@@ -251,16 +247,9 @@ def sweep_k(
     auprc_by_kind = {kind: [] for kind in kinds}
     for kind in kinds:
         for k in ks:
-            model, rep = step3_train_reduced(
-                train, test, ranked, k, kind, configs.get(kind), threshold
+            _, rep = _fit_scored(
+                train, test, ranked.top(k), kind, configs.get(kind), threshold, report
             )
-            names = ranked.top(k)
-            train_rep = evaluate_scores(
-                model.predict_proba(train.select_features(names).X),
-                train.y,
-                threshold,
-            )
-            report.add_row(kind, names, train_rep, rep)
             auprc_by_kind[kind].append(rep.auprc)
     if len(ks) > 1:
         plateau = {}
@@ -344,17 +333,10 @@ def refine_correlation(
     if missing:
         raise DataError(f"ranked features not in training data: {missing[:3]}")
 
-    X = train.X
-    means = X.mean(axis=0)
-    stds = X.std(axis=0)
+    Z = zscore(train.X, train.X.mean(axis=0), train.X.std(axis=0))
 
     def corr(a: str, b: str) -> float:
-        ia, ib = name_to_col[a], name_to_col[b]
-        if stds[ia] == 0 or stds[ib] == 0:
-            return 0.0
-        za = (X[:, ia] - means[ia]) / stds[ia]
-        zb = (X[:, ib] - means[ib]) / stds[ib]
-        return float((za * zb).mean())
+        return float((Z[:, name_to_col[a]] * Z[:, name_to_col[b]]).mean())
 
     protected = ranked.names[: config.protected]
     kept = []
@@ -493,14 +475,11 @@ def run_full(config: dict | str, out_dir) -> ExperimentReport:
 
         with _stage(1, "train base model"):
             base_kind = config["base_kind"]
-            base, base_rep = step1_train_base(
-                train, test, base_kind, model_configs.get(base_kind), threshold
+            base, _ = _fit_scored(
+                train, test, train.feature_names, base_kind,
+                model_configs.get(base_kind), threshold, report,
             )
             emit(f"base_{base_kind}.json", persist.dumps(base))
-            train_rep = evaluate_scores(
-                base.predict_proba(train.X), train.y, threshold
-            )
-            report.add_row(base_kind, train.feature_names, train_rep, base_rep)
 
         with _stage(2, "rank features"):
             ranked = step2_rank(base, train, config["rank_method"])
@@ -509,16 +488,11 @@ def run_full(config: dict | str, out_dir) -> ExperimentReport:
         with _stage(3, "train reduced models"):
             k = config["k"]
             for kind in config["reduced_kinds"]:
-                model, rep = step3_train_reduced(
-                    train, test, ranked, k, kind, model_configs.get(kind), threshold
+                model, _ = _fit_scored(
+                    train, test, ranked.top(k), kind, model_configs.get(kind),
+                    threshold, report,
                 )
                 emit(f"reduced_{kind}_k{k}.json", persist.dumps(model))
-                names = ranked.top(k)
-                red_train = train.select_features(names)
-                train_rep = evaluate_scores(
-                    model.predict_proba(red_train.X), train.y, threshold
-                )
-                report.add_row(kind, names, train_rep, rep)
 
         if config.get("sweep_ks"):
             with _stage(4, "k sweep"):
@@ -554,22 +528,11 @@ def run_full(config: dict | str, out_dir) -> ExperimentReport:
                 refined = refine_correlation(train, ranked, refine_cfg)
                 emit("ranking_refined.json", refined.to_json())
                 for kind in config["reduced_kinds"]:
-                    model, rep = step3_train_reduced(
-                        train,
-                        test,
-                        refined,
-                        len(refined.names),
-                        kind,
-                        model_configs.get(kind),
-                        threshold,
+                    model, _ = _fit_scored(
+                        train, test, refined.names, kind, model_configs.get(kind),
+                        threshold, report,
                     )
                     emit(f"refined_{kind}.json", persist.dumps(model))
-                    names = refined.names
-                    red_train = train.select_features(names)
-                    train_rep = evaluate_scores(
-                        model.predict_proba(red_train.X), train.y, threshold
-                    )
-                    report.add_row(kind, names, train_rep, rep)
 
         with _stage(7, "write reports"):
             emit("report.json", report.to_json())

@@ -113,10 +113,16 @@ def fit_pair_split(data: Dataset, j: int, q: int) -> PairSplitSpec | None:
     threshold is fitted within the root's below-threshold branch."""
     if j == q:
         raise DataError("pair features must differ")
-    sj, sq = fit_stump(data, j), fit_stump(data, q)
+    return _pair_split(data, fit_stump(data, j), fit_stump(data, q))
+
+
+def _pair_split(
+    data: Dataset, sj: StumpSpec | None, sq: StumpSpec | None
+) -> PairSplitSpec | None:
+    """Pair split from the two features' already fitted stumps."""
     if sj is None or sq is None:
         return None
-    root, other = (sj, q) if sj.gain >= sq.gain else (sq, j)
+    root, other = (sj, sq.feature) if sj.gain >= sq.gain else (sq, sj.feature)
     below = data.X[:, root.feature] < root.threshold
     if int(below.sum()) < 2:
         return None
@@ -171,18 +177,17 @@ def fit_pltr(
     adaptive-lasso logistic regression on the extended set. Intended for
     reduced feature sets; pair generation is quadratic in d."""
     d = data.d
-    stumps = []
-    skipped = []
-    for j in range(d):
-        s = fit_stump(data, j)
-        if s is None:
-            skipped.append(f"constant feature {data.feature_names[j]}")
-            continue
-        stumps.append(s)
+    fitted = [fit_stump(data, j) for j in range(d)]
+    stumps = [s for s in fitted if s is not None]
+    skipped = [
+        f"constant feature {name}"
+        for name, s in zip(data.feature_names, fitted)
+        if s is None
+    ]
     pair_splits = []
     for j in range(d):
         for q in range(j + 1, d):
-            p = fit_pair_split(data, j, q)
+            p = _pair_split(data, fitted[j], fitted[q])
             if p is None:
                 skipped.append(
                     f"degenerate pair ({data.feature_names[j]},{data.feature_names[q]})"

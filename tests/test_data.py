@@ -167,6 +167,24 @@ def test_dataset_validation():
         Dataset(np.zeros((2, 1)), np.array([0.0, 2.0]), np.ones(2), ["x"])
     with pytest.raises(DataError):
         Dataset(np.zeros((2, 1)), np.zeros(2), np.ones(3), ["x"])
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(DataError):
+            Dataset(np.array([[0.0], [bad]]), np.array([0.0, 1.0]), np.ones(2), ["x"])
+
+
+@pytest.mark.parametrize("cell", ["inf", "-inf"])
+def test_cli_prepare_exits_2_on_infinite_cell(tmp_path, capsys, cell):
+    from glassbox_credit.cli import main
+
+    raw = write_csv(tmp_path, RAW.replace("Mar-2015,1000", f"Mar-2015,{cell}"))
+    cfg = tmp_path / "prep.json"
+    cfg.write_text(json.dumps(make_config().as_dict()))
+    code = main(["prepare", "--input", str(raw), "--config", str(cfg),
+                 "--out-train", str(tmp_path / "train.csv"),
+                 "--out-test", str(tmp_path / "test.csv")])
+    assert code == 2
+    assert "infinite" in capsys.readouterr().err
+    assert not (tmp_path / "train.csv").exists()
 
 
 def test_cache_round_trip(tmp_path):

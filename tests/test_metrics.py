@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from glassbox_credit.errors import DataError
 from glassbox_credit.metrics import (
@@ -129,6 +131,9 @@ def test_label_validation():
         auroc([0.1, 0.2], [0, 2])
     with pytest.raises(DataError):
         auroc([0.1], [0, 1])
+    for bad in (np.nan, np.inf):
+        with pytest.raises(DataError):
+            evaluate_scores([bad, 0.2, 0.8], [1, 0, 1])
 
 
 def test_log_loss_known_value():
@@ -172,3 +177,30 @@ def test_pr_curve_monotone_recall():
     recalls = [r for r, _ in pts]
     assert recalls == sorted(recalls)
     assert recalls[-1] == 1.0
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 1)), min_size=1, max_size=60))
+def test_curves_match_per_threshold_confusion(rows):
+    # five distinct score values: almost every threshold is a tie block
+    scores = np.array([s / 4.0 for s, _ in rows])
+    labels = np.array([y for _, y in rows])
+    n_pos = int(labels.sum())
+    n_neg = labels.size - n_pos
+    counts = [confusion(scores, labels, t) for t in sorted(set(scores), reverse=True)]
+    if n_pos == 0:
+        with pytest.raises(DataError):
+            pr_curve(scores, labels)
+        return
+    assert pr_curve(scores, labels) == [(tp / n_pos, tp / (tp + fp)) for tp, fp, _, _ in counts]
+    assert auprc(scores, labels) == pytest.approx(brute_force_ap(scores, labels), abs=1e-12)
+    if n_neg == 0:
+        with pytest.raises(DataError):
+            roc_curve(scores, labels)
+        return
+    assert roc_curve(scores, labels) == [(0.0, 0.0)] + [
+        (fp / n_neg, tp / n_pos) for tp, fp, _, _ in counts
+    ]
+    assert auroc(scores, labels) == pytest.approx(
+        brute_force_auroc(scores, labels), abs=1e-12
+    )

@@ -51,6 +51,21 @@ def test_pair_split_root_is_stronger_feature():
     assert spec.second_feature == 1
 
 
+def test_pltr_pair_splits_match_fit_pair_split():
+    rng = np.random.default_rng(5)
+    X = np.column_stack([rng.standard_normal(600), np.full(600, 2.0),
+                         rng.integers(0, 3, 600), rng.standard_normal(600)])
+    y = (rng.random(600) < np.where(X[:, 0] + X[:, 3] > 0, 0.8, 0.2)).astype(float)
+    data = Dataset(X, y, np.ones(600), ["a", "b", "c", "d"])
+    model = fit_pltr(data, lam=0.001)
+    # the constant column b makes every pair with it degenerate
+    expected = [fit_pair_split(data, j, q) for j in range(4) for q in range(j + 1, 4)]
+    assert model.pair_splits == [p for p in expected if p is not None]
+    assert model.stumps == [fit_stump(data, j) for j in (0, 2, 3)]
+    assert model.skipped[0] == "constant feature b"
+    assert sum(s.startswith("degenerate pair") for s in model.skipped) == 3
+
+
 def test_extended_matrix_values():
     data = rule_data(n=50)
     stump = fit_stump(data, 0)
