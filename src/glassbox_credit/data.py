@@ -13,6 +13,7 @@ import csv
 import json
 import math
 import warnings
+from collections import Counter
 from dataclasses import dataclass, field
 from datetime import date, datetime
 
@@ -148,6 +149,9 @@ class Dataset:
             raise DataError("y and w must match the number of rows")
         if d != len(self.feature_names):
             raise DataError("feature_names length must match X columns")
+        duplicates = sorted(n for n, c in Counter(self.feature_names).items() if c > 1)
+        if duplicates:
+            raise DataError(f"duplicate feature names: {duplicates}")
         if not np.isfinite(self.X).all():
             raise DataError("X contains missing or infinite values")
         if not np.isin(self.y, (0.0, 1.0)).all():
@@ -389,6 +393,17 @@ def standardize(train: Dataset, test: Dataset):
                        list(data.feature_names))
 
     return transform(train), transform(test), means, stds
+
+
+def check_matrix(X, width: int) -> np.ndarray:
+    """``X`` as a 2-D float array of ``width`` finite columns (a single row
+    may be 1-D); DataError otherwise. Every model kind scores through this."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    if X.ndim != 2 or X.shape[1] != width:
+        raise DataError(f"expected {width} features, got shape {X.shape}")
+    if not np.isfinite(X).all():
+        raise DataError("X contains missing or infinite values")
+    return X
 
 
 def zscore(X, means, stds) -> np.ndarray:

@@ -1,22 +1,28 @@
 """Glass-box additive model trained by cyclic gradient boosting.
 
 Each feature gets a binned shape function (piecewise-constant, at most 256
-bins from train quantiles). Training cycles the features in index order; per
-visit a tiny tree (default 3 leaves) is fitted to the current second-order
-residuals of the weighted logistic loss on that feature's bin index, and its
-leaf values are folded into the shape function with a small learning rate.
-Optional pairwise terms are boosted the same way on a 2-D bin grid after the
-main effects are frozen.
+bins from train quantiles); optional pairwise terms get a 2-D grid over two
+features' bins. One booster, ``_boost_terms``, trains both kinds of term:
+it cycles the terms in order, and per visit fits a tiny tree on the term's
+bins to the current second-order residuals of the weighted logistic loss
+(a greedy segmentation of the bin axis with at most ``max_leaves`` leaves
+for a shape, a depth-2 axis-aligned tree for a grid), then folds its leaf
+values in with a small learning rate. Every row carries a flat bin index
+into each term, so per-bin sums, region values and margin updates are the
+same code for both. A deterministic stride holdout stops boosting early and
+restores the best cycle. Main effects are boosted first and mean-centred;
+pairs are then boosted on the residuals with the main effects frozen.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, check_matrix
 from .errors import DataError
 from .linear import sigmoid
 from .metrics import log_loss
@@ -88,9 +94,7 @@ class EbmModel:
         return np.searchsorted(self.bin_cuts[j], np.asarray(values, float), side="right")
 
     def _bin_matrix(self, X) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        if X.shape[1] != self.d:
-            raise DataError(f"expected {self.d} features, got {X.shape[1]}")
+        X = check_matrix(X, self.d)
         return np.column_stack([self.bin_index(j, X[:, j]) for j in range(self.d)])
 
     def predict_margin(self, X) -> np.ndarray:
@@ -136,11 +140,22 @@ def build_bins(X: np.ndarray) -> list[np.ndarray]:
     return cuts
 
 
+def _grid_sums(index, shape, weights=None) -> np.ndarray:
+    """Per-bin sums of ``weights`` (row counts when None) for a term of the
+    given shape; ``index`` is each row's flat bin index into that shape."""
+    return np.bincount(index, weights=weights, minlength=math.prod(shape)).reshape(shape)
+
+
+def _score(g, h):
+    return g * g / (h + _H_EPS)
+
+
 def _best_segments_1d(Gb, Hb, max_leaves, counts, min_leaf=1):
     """Greedy segmentation of the bin axis maximizing second-order gain.
 
-    Returns a list of (lo, hi) half-open bin ranges covering the axis.
-    Splits leaving fewer than ``min_leaf`` samples on a side are skipped.
+    Returns half-open bin ranges ``np.s_[lo:hi]`` covering the axis. Splits
+    leaving fewer than ``min_leaf`` samples on a side are skipped; a later
+    cut beats an earlier one only by more than 1e-15.
     """
     segments = [(0, len(Gb))]
     Gc = np.concatenate([[0.0], np.cumsum(Gb)])
@@ -148,19 +163,21 @@ def _best_segments_1d(Gb, Hb, max_leaves, counts, min_leaf=1):
     Cc = np.concatenate([[0], np.cumsum(counts)])
     min_leaf = max(min_leaf, 1)
 
-    def seg_score(lo, hi):
-        G, H = Gc[hi] - Gc[lo], Hc[hi] - Hc[lo]
-        return G * G / (H + _H_EPS)
-
     def best_split(lo, hi):
+        s = np.arange(lo + 1, hi)
+        s = s[(Cc[s] - Cc[lo] >= min_leaf) & (Cc[hi] - Cc[s] >= min_leaf)]
+        if not s.size:
+            return None
+        left = _score(Gc[s] - Gc[lo], Hc[s] - Hc[lo])
+        right = _score(Gc[hi] - Gc[s], Hc[hi] - Hc[s])
+        gains = left + right - _score(Gc[hi] - Gc[lo], Hc[hi] - Hc[lo])
+        # a cut can beat every earlier one by more than 1e-15 only if it is
+        # a strict running maximum, so the scalar walk visits only those
+        earlier = np.maximum.accumulate(np.concatenate([[-np.inf], gains[:-1]]))
         best = None
-        base = seg_score(lo, hi)
-        for s in range(lo + 1, hi):
-            if Cc[s] - Cc[lo] < min_leaf or Cc[hi] - Cc[s] < min_leaf:
-                continue
-            gain = seg_score(lo, s) + seg_score(s, hi) - base
-            if best is None or gain > best[0] + 1e-15:
-                best = (gain, s)
+        for i in np.flatnonzero(gains > earlier):
+            if best is None or gains[i] > best[0] + 1e-15:
+                best = (gains[i], s[i])
         return best
 
     while len(segments) < max_leaves:
@@ -174,7 +191,50 @@ def _best_segments_1d(Gb, Hb, max_leaves, counts, min_leaf=1):
         _, i, s = max(candidates, key=lambda c: (c[0], -c[1]))
         lo, hi = segments[i]
         segments[i : i + 1] = [(lo, s), (s, hi)]
-    return segments
+    return [np.s_[lo:hi] for lo, hi in segments]
+
+
+def _best_regions_2d(G2, H2, C2, min_leaf=1):
+    """Depth-2 axis-aligned tree on the bin grid. Returns (regions, gain):
+    regions are ``np.s_[r0:r1, c0:c1]`` rectangles; gain is the total
+    objective reduction relative to the unsplit grid."""
+
+    def best_split(region):
+        Gr, Hr, Cr = G2[region], H2[region], C2[region]
+        Gt, Ht = Gr.sum(), Hr.sum()
+        base = _score(Gt, Ht)
+        best = None
+        for axis in (0, 1):
+            g, h, c = (A.sum(axis=1 - axis) for A in (Gr, Hr, Cr))
+            gl, hl, cl = np.cumsum(g)[:-1], np.cumsum(h)[:-1], np.cumsum(c)[:-1]
+            valid = (cl >= min_leaf) & (c.sum() - cl >= min_leaf)
+            if not valid.any():
+                continue
+            gains = _score(gl, hl) + _score(Gt - gl, Ht - hl) - base
+            gains[~valid] = -np.inf
+            k = int(np.argmax(gains))
+            if gains[k] > 0 and (best is None or gains[k] > best[0]):
+                best = (float(gains[k]), axis, k + 1)
+        return best
+
+    regions = [np.s_[0 : G2.shape[0], 0 : G2.shape[1]]]
+    total_gain = 0.0
+    for _ in range(2):
+        split = []
+        for region in regions:
+            found = best_split(region)
+            if found is None:
+                split.append(region)
+                continue
+            gain, axis, k = found
+            total_gain += gain
+            cut = region[axis].start + k
+            for part in (slice(region[axis].start, cut), slice(cut, region[axis].stop)):
+                split.append(region[:axis] + (part,) + region[axis + 1 :])
+        if len(split) == len(regions):
+            break
+        regions = split
+    return regions, total_gain
 
 
 def _holdout_mask(n: int, config: EbmConfig) -> np.ndarray:
@@ -183,159 +243,105 @@ def _holdout_mask(n: int, config: EbmConfig) -> np.ndarray:
     return np.arange(n) % config.validation_stride == config.validation_stride - 1
 
 
-def _fit_main_effects(data, cuts, bins, shapes, intercept, config):
-    """Cyclic boosting of per-feature shapes in place.
+def _boost_terms(data, index, terms, margins, rounds, config) -> int:
+    """Cyclic boosting of additive terms in place; returns the cycles kept.
 
-    Returns (fit-part loss history, train bin counts, best cycle)."""
-    X, y, w = data.X, data.y, data.w
-    d = X.shape[1]
-    counts = [np.bincount(bins[:, j], minlength=len(cuts[j]) + 1) for j in range(d)]
+    ``terms`` are 1-D shapes or 2-D pair grids, visited in order each cycle;
+    ``index[t]`` is each row's flat bin index into ``terms[t]`` and
+    ``margins`` the rows' starting margins. Each visit fits a tiny tree on
+    the term's bins to the second-order residuals of the weighted logistic
+    loss and adds its shrunk leaf values. Stops on ``tol`` or, when a
+    holdout exists, after ``patience`` cycles without holdout gain; the
+    best cycle's terms are then restored.
+    """
     val = _holdout_mask(data.n, config)
     fit = ~val
-    yf, wf, bf = y[fit], w[fit], bins[fit]
-    yv, wv, bv = y[val], w[val], bins[val]
-    margins_f = np.full(int(fit.sum()), intercept)
-    margins_v = np.full(int(val.sum()), intercept)
-    losses = [log_loss(sigmoid(margins_f), yf, wf)]
+    yf, wf, yv, wv = data.y[fit], data.w[fit], data.y[val], data.w[val]
+    index_f = [ix[fit] for ix in index]
+    index_v = [ix[val] for ix in index]
+    fit_counts = [_grid_sums(ix, t.shape) for ix, t in zip(index_f, terms)]
+    margins_f, margins_v = margins[fit], margins[val]
     lr = config.learning_rate
-    best_val, best_shapes, best_cycle = np.inf, None, 0
+    prev_loss = log_loss(sigmoid(margins_f), yf, wf)
+    best_val, best_terms, best_cycle = np.inf, None, 0
     cycle = 0
-    for cycle in range(1, config.rounds + 1):
-        for j in range(d):
+    for cycle in range(1, rounds + 1):
+        for t, term in enumerate(terms):
             p = sigmoid(margins_f)
-            g = wf * (p - yf)
-            h = wf * p * (1.0 - p)
-            nb = len(cuts[j]) + 1
-            Gb = np.bincount(bf[:, j], weights=g, minlength=nb)
-            Hb = np.bincount(bf[:, j], weights=h, minlength=nb)
-            cb = np.bincount(bf[:, j], minlength=nb)
-            contrib = np.zeros(nb)
-            for lo, hi in _best_segments_1d(
-                Gb, Hb, config.max_leaves, cb, config.min_samples_leaf
-            ):
-                G, H = Gb[lo:hi].sum(), Hb[lo:hi].sum()
-                contrib[lo:hi] = -lr * G / (H + _H_EPS) if H > 0 else 0.0
-            shapes[j] += contrib
-            margins_f += contrib[bf[:, j]]
+            G = _grid_sums(index_f[t], term.shape, wf * (p - yf))
+            H = _grid_sums(index_f[t], term.shape, wf * p * (1.0 - p))
+            if term.ndim == 1:
+                regions = _best_segments_1d(
+                    G, H, config.max_leaves, fit_counts[t], config.min_samples_leaf
+                )
+            else:
+                regions, _ = _best_regions_2d(G, H, fit_counts[t], config.min_samples_leaf)
+            delta = np.zeros(term.shape)
+            for region in regions:
+                Gs, Hs = G[region].sum(), H[region].sum()
+                if Hs > 0:
+                    delta[region] = -lr * Gs / (Hs + _H_EPS)
+            term += delta
+            margins_f += delta.take(index_f[t])
             if margins_v.size:
-                margins_v += contrib[bv[:, j]]
-        losses.append(log_loss(sigmoid(margins_f), yf, wf))
+                margins_v += delta.take(index_v[t])
+        loss = log_loss(sigmoid(margins_f), yf, wf)
         if margins_v.size:
             val_loss = log_loss(sigmoid(margins_v), yv, wv)
             if val_loss < best_val - 1e-7:
                 best_val = val_loss
-                best_shapes = [s.copy() for s in shapes]
+                best_terms = [term.copy() for term in terms]
                 best_cycle = cycle
             elif cycle - best_cycle > config.patience:
                 break
-        if abs(losses[-2] - losses[-1]) < config.tol:
+        if abs(prev_loss - loss) < config.tol:
             break
-    if best_shapes is not None:
-        shapes[:] = best_shapes
-        losses = losses[: best_cycle + 1]
-    return losses, counts, best_cycle if best_shapes is not None else cycle
+        prev_loss = loss
+    if best_terms is None:
+        return cycle
+    for term, best in zip(terms, best_terms):
+        term[...] = best
+    return best_cycle
 
 
 def fit_ebm(data: Dataset, config: EbmConfig | None = None) -> EbmModel:
     config = config or EbmConfig()
-    X, y, w = data.X, data.y, data.w
-    if y.min() == y.max():
+    if data.y.min() == data.y.max():
         raise DataError("EBM needs both classes present")
-    base_rate = float((w * y).sum() / w.sum())
-    intercept = float(np.log(base_rate / (1.0 - base_rate)))
-    cuts = build_bins(X)
-    bins = np.column_stack(
-        [np.searchsorted(cuts[j], X[:, j], side="right") for j in range(X.shape[1])]
-    )
-    shapes = [np.zeros(len(c) + 1) for c in cuts]
-    losses, counts, kept_cycles = _fit_main_effects(
-        data, cuts, bins, shapes, intercept, config
-    )
-    # mean-center each shape over train; the mass moves into the intercept
-    n = data.n
-    for j in range(X.shape[1]):
-        mean = float(counts[j] @ shapes[j]) / n
-        shapes[j] -= mean
-        intercept += mean
+    base_rate = float((data.w * data.y).sum() / data.w.sum())
+    cuts = build_bins(data.X)
     model = EbmModel(
-        intercept=intercept,
+        intercept=float(np.log(base_rate / (1.0 - base_rate))),
         bin_cuts=cuts,
-        shapes=shapes,
-        bin_counts=counts,
+        shapes=[np.zeros(len(c) + 1) for c in cuts],
+        bin_counts=[],
         pairs=[],
         feature_names=list(data.feature_names),
         config=config.as_dict(),
     )
-    model.config["cycles_run"] = kept_cycles
+    B = model._bin_matrix(data.X)
+    index = [B[:, j] for j in range(model.d)]
+    model.bin_counts = [_grid_sums(ix, s.shape) for ix, s in zip(index, model.shapes)]
+    margins = np.full(data.n, model.intercept)
+    model.config["cycles_run"] = _boost_terms(
+        data, index, model.shapes, margins, config.rounds, config
+    )
+    # mean-center each shape over train; the mass moves into the intercept
+    for counts, shape in zip(model.bin_counts, model.shapes):
+        mean = float(counts @ shape) / data.n
+        shape -= mean
+        model.intercept += mean
     if config.n_pairs > 0:
         pairs = detect_pairs(data, model, config.n_pairs)
         model = fit_pairs(data, model, pairs, config)
     return model
 
 
-def _grid_sums(bins_j, bins_q, nbj, nbq, weights):
-    flat = np.bincount(bins_j * nbq + bins_q, weights=weights, minlength=nbj * nbq)
-    return flat.reshape(nbj, nbq)
-
-
-def _best_regions_2d(G2, H2, C2, min_leaf=1):
-    """Depth-2 axis-aligned tree on the bin grid. Returns (regions, gain):
-    regions are (r0, r1, c0, c1) rectangles; gain is the total objective
-    reduction relative to the unsplit grid."""
-
-    def marginals(r0, r1, c0, c1, axis):
-        g = G2[r0:r1, c0:c1].sum(axis=1 - axis)
-        h = H2[r0:r1, c0:c1].sum(axis=1 - axis)
-        c = C2[r0:r1, c0:c1].sum(axis=1 - axis)
-        return g, h, c
-
-    def score(g, h):
-        return g * g / (h + _H_EPS)
-
-    def best_split(r0, r1, c0, c1):
-        Gt = G2[r0:r1, c0:c1].sum()
-        Ht = H2[r0:r1, c0:c1].sum()
-        base = score(Gt, Ht)
-        best = None
-        for axis in (0, 1):
-            g, h, c = marginals(r0, r1, c0, c1, axis)
-            gl, hl, cl = np.cumsum(g)[:-1], np.cumsum(h)[:-1], np.cumsum(c)[:-1]
-            valid = (cl >= min_leaf) & (c.sum() - cl >= min_leaf)
-            if not valid.any():
-                continue
-            gains = score(gl, hl) + score(Gt - gl, Ht - hl) - base
-            gains[~valid] = -np.inf
-            k = int(np.argmax(gains))
-            if gains[k] > 0 and (best is None or gains[k] > best[0]):
-                best = (float(gains[k]), axis, k + 1)
-        return best
-
-    regions = [(0, G2.shape[0], 0, G2.shape[1])]
-    total_gain = 0.0
-    found = best_split(*regions[0])
-    if found is None:
-        return regions, 0.0
-    gain, axis, k = found
-    total_gain += gain
-    r0, r1, c0, c1 = regions[0]
-    if axis == 0:
-        regions = [(r0, r0 + k, c0, c1), (r0 + k, r1, c0, c1)]
-    else:
-        regions = [(r0, r1, c0, c0 + k), (r0, r1, c0 + k, c1)]
-    final = []
-    for reg in regions:
-        found = best_split(*reg)
-        if found is None:
-            final.append(reg)
-            continue
-        gain, axis, k = found
-        total_gain += gain
-        r0, r1, c0, c1 = reg
-        if axis == 0:
-            final.extend([(r0, r0 + k, c0, c1), (r0 + k, r1, c0, c1)])
-        else:
-            final.extend([(r0, r1, c0, c0 + k), (r0, r1, c0 + k, c1)])
-    return final, total_gain
+def _pair_index(B, model: EbmModel, j: int, q: int):
+    """Flat bin index of each row into the (bins_j, bins_q) pair grid, and
+    that grid's shape."""
+    shape = (len(model.bin_cuts[j]) + 1, len(model.bin_cuts[q]) + 1)
+    return B[:, j] * shape[1] + B[:, q], shape
 
 
 def detect_pairs(data: Dataset, model: EbmModel, m: int) -> list[tuple[int, int]]:
@@ -351,15 +357,13 @@ def detect_pairs(data: Dataset, model: EbmModel, m: int) -> list[tuple[int, int]
     g = data.w * (p - data.y)
     h = data.w * p * (1.0 - p)
     B = model._bin_matrix(data.X)
-    ones = np.ones(data.n)
     scored = []
     for j in range(d):
         for q in range(j + 1, d):
-            nbj, nbq = len(model.bin_cuts[j]) + 1, len(model.bin_cuts[q]) + 1
-            G2 = _grid_sums(B[:, j], B[:, q], nbj, nbq, g)
-            H2 = _grid_sums(B[:, j], B[:, q], nbj, nbq, h)
-            C2 = _grid_sums(B[:, j], B[:, q], nbj, nbq, ones)
-            _, gain = _best_regions_2d(G2, H2, C2)
+            index, shape = _pair_index(B, model, j, q)
+            _, gain = _best_regions_2d(
+                _grid_sums(index, shape, g), _grid_sums(index, shape, h), _grid_sums(index, shape)
+            )
             scored.append((gain, (j, q)))
     scored.sort(key=lambda t: (-t[0], t[1]))
     return [pair for _, pair in scored[:m]]
@@ -367,7 +371,7 @@ def detect_pairs(data: Dataset, model: EbmModel, m: int) -> list[tuple[int, int]
 
 def fit_pairs(data: Dataset, model: EbmModel, pairs, config: EbmConfig | None = None) -> EbmModel:
     """Boost pair grids round-robin on residuals with main effects frozen."""
-    config = config or EbmConfig(**{k: v for k, v in model.config.items() if k in EbmConfig.__dataclass_fields__})
+    config = config or EbmConfig.from_dict(model.config)
     pairs = [tuple(p) for p in pairs]
     if len(set(pairs)) != len(pairs):
         raise DataError("duplicate pairs")
@@ -385,70 +389,15 @@ def fit_pairs(data: Dataset, model: EbmModel, pairs, config: EbmConfig | None = 
     )
     if not pairs:
         return new
-    X, y, w = data.X, data.y, data.w
-    B = new._bin_matrix(X)
-    grids = {}
-    dims = {}
-    for j, q in pairs:
-        nbj, nbq = len(new.bin_cuts[j]) + 1, len(new.bin_cuts[q]) + 1
-        grids[(j, q)] = np.zeros((nbj, nbq))
-        dims[(j, q)] = (nbj, nbq)
-    counts = {
-        pq: _grid_sums(B[:, pq[0]], B[:, pq[1]], *dims[pq], np.ones(data.n))
-        for pq in pairs
-    }
-    val = _holdout_mask(data.n, config)
-    fit = ~val
-    yf, wf, Bf = y[fit], w[fit], B[fit]
-    yv, wv, Bv = y[val], w[val], B[val]
-    all_margins = new.predict_margin(X)
-    margins_f, margins_v = all_margins[fit], all_margins[val]
-    fit_counts = {
-        pq: _grid_sums(Bf[:, pq[0]], Bf[:, pq[1]], *dims[pq], np.ones(len(yf)))
-        for pq in pairs
-    }
-    lr = config.learning_rate
-    prev_loss = log_loss(sigmoid(margins_f), yf, wf)
-    best_val, best_grids, best_round = np.inf, None, 0
-    for rnd in range(1, config.pair_rounds + 1):
-        for pq in pairs:
-            j, q = pq
-            p = sigmoid(margins_f)
-            g = wf * (p - yf)
-            h = wf * p * (1.0 - p)
-            G2 = _grid_sums(Bf[:, j], Bf[:, q], *dims[pq], g)
-            H2 = _grid_sums(Bf[:, j], Bf[:, q], *dims[pq], h)
-            regions, _ = _best_regions_2d(
-                G2, H2, fit_counts[pq], config.min_samples_leaf
-            )
-            delta = np.zeros(dims[pq])
-            for r0, r1, c0, c1 in regions:
-                G, H = G2[r0:r1, c0:c1].sum(), H2[r0:r1, c0:c1].sum()
-                if H > 0:
-                    delta[r0:r1, c0:c1] = -lr * G / (H + _H_EPS)
-            grids[pq] += delta
-            margins_f += delta[Bf[:, j], Bf[:, q]]
-            if margins_v.size:
-                margins_v += delta[Bv[:, j], Bv[:, q]]
-        loss = log_loss(sigmoid(margins_f), yf, wf)
-        if margins_v.size:
-            val_loss = log_loss(sigmoid(margins_v), yv, wv)
-            if val_loss < best_val - 1e-7:
-                best_val = val_loss
-                best_grids = {pq: grids[pq].copy() for pq in pairs}
-                best_round = rnd
-            elif rnd - best_round > config.patience:
-                break
-        if abs(prev_loss - loss) < config.tol:
-            break
-        prev_loss = loss
-    if best_grids is not None:
-        grids = best_grids
-    for pq in pairs:
-        mean = float((counts[pq] * grids[pq]).sum()) / data.n
-        grids[pq] -= mean
+    B = new._bin_matrix(data.X)
+    index, shapes = zip(*(_pair_index(B, new, j, q) for j, q in pairs))
+    grids = [np.zeros(shape) for shape in shapes]
+    _boost_terms(data, index, grids, new.predict_margin(data.X), config.pair_rounds, config)
+    for pq, ix, grid in zip(pairs, index, grids):
+        mean = float((_grid_sums(ix, grid.shape) * grid).sum()) / data.n
+        grid -= mean
         new.intercept += mean
-        new.pairs.append(PairTerm(pq, grids[pq]))
+        new.pairs.append(PairTerm(pq, grid))
     return new
 
 

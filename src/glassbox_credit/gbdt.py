@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, check_matrix
 from .errors import DataError
 from .linear import sigmoid
 
@@ -123,9 +123,7 @@ class GbdtModel:
         return len(self.feature_names)
 
     def predict_margin(self, X) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        if X.shape[1] != self.d:
-            raise DataError(f"expected {self.d} features, got {X.shape[1]}")
+        X = check_matrix(X, self.d)
         margin = np.full(X.shape[0], self.base_score)
         for tree in self.trees:
             margin += self.eta * tree.predict(X)

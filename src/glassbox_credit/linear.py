@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import expit
 
-from .data import Dataset, zscore
+from .data import Dataset, check_matrix, zscore
 from .errors import ConvergenceError, DataError
 
 RIDGE = 1e-6
@@ -46,11 +46,7 @@ class LinearModel:
             raise DataError("non-finite coefficients")
 
     def _transform(self, X):
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        if X.shape[1] != len(self.coef):
-            raise DataError(
-                f"expected {len(self.coef)} features, got {X.shape[1]}"
-            )
+        X = check_matrix(X, len(self.coef))
         if self.means is not None:
             return zscore(X, self.means, self.stds)
         return X

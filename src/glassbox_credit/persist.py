@@ -15,7 +15,7 @@ import numpy as np
 from . import __version__
 from .errors import ModelFormatError
 from .ebm import EbmModel, PairTerm
-from .gbdt import GbdtModel, Tree
+from .gbdt import _LEAF, GbdtModel, Tree
 from .linear import LinearModel
 from .pltr import PairSplitSpec, PltrModel, StumpSpec
 
@@ -74,7 +74,25 @@ def _gbdt_payload(model: GbdtModel) -> dict:
     }
 
 
+def _check_tree(t: Tree, d: int) -> None:
+    """Reject a tree that predict would index out of range or loop in.
+    Trees are stored in preorder, so both children of an internal node lie
+    after it; requiring that rules out cycles."""
+    n = t.n_nodes
+    columns = (t.threshold, t.left, t.right, t.value, t.cover, t.gain)
+    if n == 0 or any(len(a) != n for a in columns):
+        raise ModelFormatError("tree node arrays are empty or of unequal length")
+    for node, f in enumerate(t.feature):
+        if f == _LEAF:
+            continue
+        if not 0 <= f < d:
+            raise ModelFormatError(f"tree node {node} splits on feature {f}, outside [0, {d})")
+        if not (node < t.left[node] < n and node < t.right[node] < n):
+            raise ModelFormatError(f"tree node {node} has children outside ({node}, {n})")
+
+
 def _gbdt_restore(body: dict) -> GbdtModel:
+    d = len(body["feature_names"])
     trees = []
     for tb in body["trees"]:
         t = Tree()
@@ -85,6 +103,7 @@ def _gbdt_restore(body: dict) -> GbdtModel:
         t.value = [float(v) for v in tb["value"]]
         t.cover = [float(v) for v in tb["cover"]]
         t.gain = [float(v) for v in tb["gain"]]
+        _check_tree(t, d)
         trees.append(t)
     return GbdtModel(
         trees=trees,
@@ -116,18 +135,29 @@ def _ebm_payload(model: EbmModel) -> dict:
 
 
 def _ebm_restore(body: dict) -> EbmModel:
-    pairs = [
-        PairTerm(
-            pair=(int(p["pair"][0]), int(p["pair"][1])),
-            grid=np.array(p["grid"], dtype=float).reshape(p["shape"]),
-        )
-        for p in body["pairs"]
-    ]
+    cuts = [np.array(c, dtype=float) for c in body["bin_cuts"]]
+    shapes = [np.array(s, dtype=float) for s in body["shapes"]]
+    counts = [np.array(c, dtype=int) for c in body["bin_counts"]]
+    d = len(body["feature_names"])
+    if not len(cuts) == len(shapes) == len(counts) == d:
+        raise ModelFormatError("ebm needs one cut list, shape and count list per feature")
+    for j in range(d):
+        if not len(shapes[j]) == len(cuts[j]) + 1 == len(counts[j]):
+            raise ModelFormatError(f"ebm feature {j}: shape and counts need len(cuts) + 1 bins")
+    pairs = []
+    for p in body["pairs"]:
+        j, q = (int(v) for v in p["pair"])
+        if not 0 <= j < q < d:
+            raise ModelFormatError(f"ebm pair ({j}, {q}) is not 0 <= j < q < {d}")
+        shape = (len(cuts[j]) + 1, len(cuts[q]) + 1)
+        if [int(v) for v in p["shape"]] != list(shape):
+            raise ModelFormatError(f"ebm pair ({j}, {q}) grid shape is not {list(shape)}")
+        pairs.append(PairTerm(pair=(j, q), grid=np.array(p["grid"], dtype=float).reshape(shape)))
     return EbmModel(
         intercept=body["intercept"],
-        bin_cuts=[np.array(c, dtype=float) for c in body["bin_cuts"]],
-        shapes=[np.array(s, dtype=float) for s in body["shapes"]],
-        bin_counts=[np.array(c, dtype=int) for c in body["bin_counts"]],
+        bin_cuts=cuts,
+        shapes=shapes,
+        bin_counts=counts,
         pairs=pairs,
         feature_names=list(body["feature_names"]),
         config=dict(body.get("config", {})),

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, check_matrix
 from .errors import DataError
 from .linear import LinearModel, fit_adaptive_lasso, fit_logistic
 
@@ -47,11 +47,7 @@ class PltrModel:
     skipped: list[str] = field(default_factory=list)
 
     def extended_matrix(self, X) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        if X.shape[1] != len(self.feature_names):
-            raise DataError(
-                f"expected {len(self.feature_names)} features, got {X.shape[1]}"
-            )
+        X = check_matrix(X, len(self.feature_names))
         cols = [X] if self.include_original else []
         for s in self.stumps:
             cols.append((X[:, s.feature] > s.threshold).astype(float)[:, None])

@@ -1,5 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import settings
+
+# Property tests replay the same examples on every run and keep no example
+# database, so the suite stays deterministic.
+settings.register_profile("deterministic", derandomize=True, deadline=None, database=None)
+settings.load_profile("deterministic")
 
 from glassbox_credit import synth
 from glassbox_credit.data import Dataset

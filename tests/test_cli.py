@@ -86,6 +86,16 @@ def test_evaluate_round_trip(artifacts, capsys):
     assert 0.5 < report["auroc"] <= 1.0
 
 
+def test_evaluate_damaged_model_exits_2(artifacts, capsys):
+    env = json.loads(artifacts["model"].read_text())
+    tree = env["payload"]["trees"][0]
+    tree["left"][0] = 999  # the root's left child does not exist
+    damaged = artifacts["root"] / "damaged.json"
+    damaged.write_text(json.dumps(env))
+    assert run_cli("evaluate", "--model", damaged, "--data", artifacts["test"]) == 2
+    assert "children outside" in capsys.readouterr().err
+
+
 def test_explain_local_accuracy(artifacts, capsys):
     import math
 

@@ -8,6 +8,7 @@ from glassbox_credit.data import (
     PrepConfig,
     apply_class_weights,
     cache_dataset,
+    check_matrix,
     class_weights,
     encode_target,
     engineer_fico,
@@ -170,6 +171,40 @@ def test_dataset_validation():
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(DataError):
             Dataset(np.array([[0.0], [bad]]), np.array([0.0, 1.0]), np.ones(2), ["x"])
+
+
+def test_dataset_rejects_duplicate_feature_names():
+    with pytest.raises(DataError, match=r"duplicate feature names: \['a', 'b'\]"):
+        Dataset(np.zeros((2, 5)), np.array([0.0, 1.0]), np.ones(2), list("abcab"))
+
+
+def test_cli_prepare_exits_2_on_duplicate_encoded_names(tmp_path, capsys):
+    from glassbox_credit.cli import main
+
+    # categorical grade one-hot encodes to grade_A, next to a numeric grade_A
+    raw = write_csv(tmp_path, """loan_status,issue_d,grade,grade_A
+Fully Paid,Mar-2015,A,1
+Charged Off,2015-04,B,2
+Fully Paid,Oct-2016,A,3
+Charged Off,2016-11,B,4
+""")
+    cfg = tmp_path / "prep.json"
+    cfg.write_text(json.dumps(make_config().as_dict()))
+    code = main(["prepare", "--input", str(raw), "--config", str(cfg),
+                 "--out-train", str(tmp_path / "train.csv"),
+                 "--out-test", str(tmp_path / "test.csv")])
+    assert code == 2
+    assert "duplicate feature names: ['grade_A']" in capsys.readouterr().err
+    assert not (tmp_path / "train.csv").exists()
+
+
+def test_check_matrix():
+    assert check_matrix([1.0, 2.0], 2).shape == (1, 2)
+    with pytest.raises(DataError, match="expected 3 features"):
+        check_matrix(np.zeros((4, 2)), 3)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(DataError, match="missing or infinite"):
+            check_matrix([[0.0, bad]], 2)
 
 
 @pytest.mark.parametrize("cell", ["inf", "-inf"])

@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from glassbox_credit.data import Dataset
 from glassbox_credit.ebm import (
     EbmConfig,
+    _best_regions_2d,
+    _best_segments_1d,
     build_bins,
     detect_pairs,
     export_pair_grid,
@@ -157,3 +161,139 @@ def test_pair_grid_export(tmp_path, xor_small):
     assert path.read_text().count("\n") == model.pairs[0].grid.shape[0] + 1
     names = pair_importance(model, small)
     assert len(names) == 1 and names[0][1] > 0
+
+
+# Reference cut searches: the scalar implementations the vectorized
+# ``_best_segments_1d`` and ``_best_regions_2d`` replaced, kept as oracles.
+_H_EPS = 1e-12
+
+
+def reference_segments_1d(Gb, Hb, max_leaves, counts, min_leaf=1):
+    segments = [(0, len(Gb))]
+    Gc = np.concatenate([[0.0], np.cumsum(Gb)])
+    Hc = np.concatenate([[0.0], np.cumsum(Hb)])
+    Cc = np.concatenate([[0], np.cumsum(counts)])
+    min_leaf = max(min_leaf, 1)
+
+    def seg_score(lo, hi):
+        G, H = Gc[hi] - Gc[lo], Hc[hi] - Hc[lo]
+        return G * G / (H + _H_EPS)
+
+    def best_split(lo, hi):
+        best = None
+        base = seg_score(lo, hi)
+        for s in range(lo + 1, hi):
+            if Cc[s] - Cc[lo] < min_leaf or Cc[hi] - Cc[s] < min_leaf:
+                continue
+            gain = seg_score(lo, s) + seg_score(s, hi) - base
+            if best is None or gain > best[0] + 1e-15:
+                best = (gain, s)
+        return best
+
+    while len(segments) < max_leaves:
+        candidates = []
+        for i, (lo, hi) in enumerate(segments):
+            found = best_split(lo, hi)
+            if found is not None and found[0] > 0.0:
+                candidates.append((found[0], i, found[1]))
+        if not candidates:
+            break
+        _, i, s = max(candidates, key=lambda c: (c[0], -c[1]))
+        lo, hi = segments[i]
+        segments[i : i + 1] = [(lo, s), (s, hi)]
+    return segments
+
+
+def reference_regions_2d(G2, H2, C2, min_leaf=1):
+    def marginals(r0, r1, c0, c1, axis):
+        g = G2[r0:r1, c0:c1].sum(axis=1 - axis)
+        h = H2[r0:r1, c0:c1].sum(axis=1 - axis)
+        c = C2[r0:r1, c0:c1].sum(axis=1 - axis)
+        return g, h, c
+
+    def score(g, h):
+        return g * g / (h + _H_EPS)
+
+    def best_split(r0, r1, c0, c1):
+        Gt = G2[r0:r1, c0:c1].sum()
+        Ht = H2[r0:r1, c0:c1].sum()
+        base = score(Gt, Ht)
+        best = None
+        for axis in (0, 1):
+            g, h, c = marginals(r0, r1, c0, c1, axis)
+            gl, hl, cl = np.cumsum(g)[:-1], np.cumsum(h)[:-1], np.cumsum(c)[:-1]
+            valid = (cl >= min_leaf) & (c.sum() - cl >= min_leaf)
+            if not valid.any():
+                continue
+            gains = score(gl, hl) + score(Gt - gl, Ht - hl) - base
+            gains[~valid] = -np.inf
+            k = int(np.argmax(gains))
+            if gains[k] > 0 and (best is None or gains[k] > best[0]):
+                best = (float(gains[k]), axis, k + 1)
+        return best
+
+    regions = [(0, G2.shape[0], 0, G2.shape[1])]
+    total_gain = 0.0
+    found = best_split(*regions[0])
+    if found is None:
+        return regions, 0.0
+    gain, axis, k = found
+    total_gain += gain
+    r0, r1, c0, c1 = regions[0]
+    if axis == 0:
+        regions = [(r0, r0 + k, c0, c1), (r0 + k, r1, c0, c1)]
+    else:
+        regions = [(r0, r1, c0, c0 + k), (r0, r1, c0 + k, c1)]
+    final = []
+    for reg in regions:
+        found = best_split(*reg)
+        if found is None:
+            final.append(reg)
+            continue
+        gain, axis, k = found
+        total_gain += gain
+        r0, r1, c0, c1 = reg
+        if axis == 0:
+            final.extend([(r0, r0 + k, c0, c1), (r0 + k, r1, c0, c1)])
+        else:
+            final.extend([(r0, r1, c0, c0 + k), (r0, r1, c0 + k, c1)])
+    return final, total_gain
+
+
+def bin_sums(cells):
+    """Per-bin (G, H, count) from (count, g, h) draws: small integers, so
+    many cut gains tie exactly; a bin with no rows has zero sums."""
+    counts = np.array([c for c, _, _ in cells])
+    G = np.array([float(g) if c else 0.0 for c, g, _ in cells])
+    H = np.array([float(h) if c else 0.0 for c, _, h in cells])
+    return G, H, counts
+
+
+CELL = st.tuples(st.integers(0, 3), st.integers(-3, 3), st.integers(0, 3))
+
+
+@settings(max_examples=400)
+@given(st.lists(CELL, min_size=1, max_size=14), st.integers(1, 5), st.integers(0, 5))
+def test_segments_1d_match_scalar_reference(cells, max_leaves, min_leaf):
+    G, H, counts = bin_sums(cells)
+    got = _best_segments_1d(G, H, max_leaves, counts, min_leaf)
+    assert [(r.start, r.stop) for r in got] == reference_segments_1d(
+        G, H, max_leaves, counts, min_leaf
+    )
+
+
+GRID = st.tuples(st.integers(1, 5), st.integers(1, 5)).flatmap(
+    lambda shape: st.tuples(st.just(shape), st.lists(CELL, min_size=shape[0] * shape[1],
+                                                     max_size=shape[0] * shape[1]))
+)
+
+
+@settings(max_examples=400)
+@given(GRID, st.integers(1, 5))
+def test_regions_2d_match_scalar_reference(grid, min_leaf):
+    shape, cells = grid
+    G, H, C = (a.reshape(shape) for a in bin_sums(cells))
+    got, gain = _best_regions_2d(G, H, C, min_leaf)
+    want, want_gain = reference_regions_2d(G, H, C, min_leaf)
+    assert [(r.start, r.stop, c.start, c.stop) for r, c in got] == want
+    assert gain == want_gain

@@ -179,7 +179,7 @@ def test_pr_curve_monotone_recall():
     assert recalls[-1] == 1.0
 
 
-@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@settings(max_examples=300)
 @given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 1)), min_size=1, max_size=60))
 def test_curves_match_per_threshold_confusion(rows):
     # five distinct score values: almost every threshold is a tie block

@@ -6,7 +6,7 @@ import pytest
 from glassbox_credit import persist
 from glassbox_credit.data import Dataset
 from glassbox_credit.ebm import EbmConfig, fit_ebm, fit_pairs
-from glassbox_credit.errors import ModelFormatError
+from glassbox_credit.errors import DataError, ModelFormatError
 from glassbox_credit.gbdt import GbdtConfig, fit_gbdt
 from glassbox_credit.linear import fit_logistic
 from glassbox_credit.pltr import fit_pltr
@@ -102,3 +102,71 @@ def test_empty_and_invalid_files(tmp_path):
 def test_unsupported_type_rejected():
     with pytest.raises(ModelFormatError):
         persist.dumps({"not": "a model"})
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("kind", ["lr", "gbdt", "ebm", "pltr"])
+def test_non_finite_rows_rejected(fitted_models, kind, bad):
+    data, models = fitted_models
+    X = data.X[:3].copy()
+    X[1, 2] = bad
+    with pytest.raises(DataError, match="missing or infinite"):
+        models[kind].predict_proba(X)
+    with pytest.raises(DataError, match="missing or infinite"):
+        models[kind].predict_proba(np.full(4, bad))
+
+
+def _tampered(tmp_path, model, edit):
+    path = tmp_path / "m.json"
+    persist.save_model(model, path)
+    env = json.loads(path.read_text())
+    edit(env["payload"])
+    path.write_text(json.dumps(env))
+    return path
+
+
+def _first_split(tree):
+    return next(i for i, f in enumerate(tree["feature"]) if f >= 0)
+
+
+def _child_back_to_root(tree):
+    node = max(i for i, f in enumerate(tree["feature"]) if f >= 0)
+    tree["left"][node] = 0  # an ancestor: predict would route rows in a cycle
+
+
+GBDT_DAMAGE = {
+    "child out of range": lambda t: t["right"].__setitem__(_first_split(t), 999),
+    "child is an ancestor": _child_back_to_root,
+    "child is the node": lambda t: t["left"].__setitem__(_first_split(t), _first_split(t)),
+    "feature out of range": lambda t: t["feature"].__setitem__(_first_split(t), 4),
+    "negative feature": lambda t: t["feature"].__setitem__(_first_split(t), -2),
+    "unequal node arrays": lambda t: t["value"].pop(),
+    "no nodes": lambda t: [t[k].clear() for k in list(t)],
+}
+
+
+@pytest.mark.parametrize("damage", sorted(GBDT_DAMAGE))
+def test_damaged_tree_rejected_on_load(tmp_path, fitted_models, damage):
+    _, models = fitted_models
+    path = _tampered(tmp_path, models["gbdt"], lambda p: GBDT_DAMAGE[damage](p["trees"][3]))
+    with pytest.raises(ModelFormatError):
+        persist.load_model(path)
+
+
+EBM_DAMAGE = {
+    "shape shorter than cuts": lambda p: p["shapes"][1].pop(),
+    "counts longer than shape": lambda p: p["bin_counts"][0].append(5),
+    "missing shape": lambda p: p["shapes"].pop(),
+    "pair index out of range": lambda p: p["pairs"][0].__setitem__("pair", [0, 4]),
+    "pair not ordered": lambda p: p["pairs"][0].__setitem__("pair", [2, 0]),
+    "grid shape off": lambda p: p["pairs"][0]["shape"].__setitem__(0, 1),
+    "grid too short": lambda p: p["pairs"][0]["grid"].pop(),
+}
+
+
+@pytest.mark.parametrize("damage", sorted(EBM_DAMAGE))
+def test_damaged_ebm_rejected_on_load(tmp_path, fitted_models, damage):
+    _, models = fitted_models
+    path = _tampered(tmp_path, models["ebm"], EBM_DAMAGE[damage])
+    with pytest.raises(ModelFormatError):
+        persist.load_model(path)
