@@ -187,27 +187,29 @@ def _best_split_for_node(X, g, h, idx, cfg: GbdtConfig):
 
 def _grow_tree(X, g, h, cfg: GbdtConfig) -> Tree:
     tree = Tree()
-
-    def build(idx, depth) -> int:
-        node = tree.add_node()
-        G, H = g[idx].sum(), h[idx].sum()
-        tree.cover[node] = float(H)
-        found = None
-        if depth < cfg.max_depth:
-            found = _best_split_for_node(X, g, h, idx, cfg)
-        if found is None:
-            tree.value[node] = float(-G / (H + cfg.reg_lambda))
-            return node
-        gain, f, thr, left_mask = found
-        tree.feature[node] = f
-        tree.threshold[node] = thr
-        tree.gain[node] = gain
-        tree.left[node] = build(idx[left_mask], depth + 1)
-        tree.right[node] = build(idx[~left_mask], depth + 1)
-        return node
-
-    build(np.arange(X.shape[0]), 0)
+    _grow_node(tree, X, g, h, cfg, np.arange(X.shape[0]), 0)
     return tree
+
+
+def _grow_node(tree: Tree, X, g, h, cfg: GbdtConfig, idx, depth) -> int:
+    # a module-level function, not a closure: a self-referencing closure is a
+    # reference cycle that keeps the round's arrays alive until a GC pass
+    node = tree.add_node()
+    G, H = g[idx].sum(), h[idx].sum()
+    tree.cover[node] = float(H)
+    found = None
+    if depth < cfg.max_depth:
+        found = _best_split_for_node(X, g, h, idx, cfg)
+    if found is None:
+        tree.value[node] = float(-G / (H + cfg.reg_lambda))
+        return node
+    gain, f, thr, left_mask = found
+    tree.feature[node] = f
+    tree.threshold[node] = thr
+    tree.gain[node] = gain
+    tree.left[node] = _grow_node(tree, X, g, h, cfg, idx[left_mask], depth + 1)
+    tree.right[node] = _grow_node(tree, X, g, h, cfg, idx[~left_mask], depth + 1)
+    return node
 
 
 def fit_gbdt(data: Dataset, config: GbdtConfig) -> GbdtModel:

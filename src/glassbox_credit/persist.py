@@ -187,7 +187,7 @@ def _pltr_payload(model: PltrModel) -> dict:
 
 
 def _pltr_restore(body: dict) -> PltrModel:
-    return PltrModel(
+    model = PltrModel(
         stumps=[StumpSpec(**s) for s in body["stumps"]],
         pair_splits=[PairSplitSpec(**p) for p in body["pair_splits"]],
         linear=_lr_restore(body["linear"]),
@@ -195,6 +195,19 @@ def _pltr_restore(body: dict) -> PltrModel:
         include_original=body.get("include_original", True),
         skipped=list(body.get("skipped", [])),
     )
+    d = len(model.feature_names)
+    features = [s.feature for s in model.stumps] + [
+        f for p in model.pair_splits for f in (p.root_feature, p.second_feature)
+    ]
+    for f in features:
+        if not (isinstance(f, int) and 0 <= f < d):
+            raise ModelFormatError(f"pltr rule splits on feature {f!r}, outside [0, {d})")
+    width = (d if model.include_original else 0) + len(model.stumps) + len(model.pair_splits)
+    if len(model.linear.coef) != width:
+        raise ModelFormatError(
+            f"pltr linear model has {len(model.linear.coef)} coefficients for {width} columns"
+        )
+    return model
 
 
 # model kind -> (model class, payload writer, payload reader)

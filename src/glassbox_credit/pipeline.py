@@ -455,8 +455,16 @@ def run_full(config: dict | str, out_dir) -> ExperimentReport:
     try:
         lock_fd = os.open(lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
     except FileExistsError:
-        raise DataError(f"output directory is locked by {lock_path}") from None
-    os.close(lock_fd)
+        try:
+            with open(lock_path, encoding="utf-8", errors="replace") as fh:
+                owner = fh.read().strip() or "unknown"
+        except OSError:  # released meanwhile, or not a file
+            owner = "unknown"
+        raise DataError(f"output directory is locked by {lock_path} (pid {owner})") from None
+    try:
+        os.write(lock_fd, f"{os.getpid()}\n".encode("ascii"))
+    finally:
+        os.close(lock_fd)
 
     artifacts = {}
 

@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from glassbox_credit import attribution
 from glassbox_credit.attribution import (
     attributions_csv,
     conditional_expectation,
     global_importance,
     shapley_exact,
     tree_shap,
+    tree_shap_batch,
 )
 from glassbox_credit.data import Dataset
 from glassbox_credit.errors import DataError
@@ -127,8 +130,123 @@ def test_attributions_csv_sums_to_margin(tmp_path, tiny_data):
     lines = path.read_text().strip().splitlines()
     assert len(lines) == tiny_data.n + 1
     margins = model.predict_margin(tiny_data.X)
-    for line in lines[1:6]:
+    for i, line in enumerate(lines[1:]):
         parts = line.split(",")
         row = int(parts[0])
+        assert row == i
         total = float(parts[1]) + sum(float(v) for v in parts[2:])
         assert total == pytest.approx(margins[row], abs=1e-9)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_rows_rejected(bad):
+    rng = np.random.default_rng(4)
+    model, X = random_model(rng, d=3, n_trees=3, depth=2)
+    x = X[0].copy()
+    x[1] = bad
+    with pytest.raises(DataError, match="missing or infinite"):
+        tree_shap(model, x)
+    with pytest.raises(DataError, match="missing or infinite"):
+        tree_shap_batch(model, np.vstack([X[:2], x]))
+    with pytest.raises(DataError, match="missing or infinite"):
+        tree_shap(model, np.full(3, bad))
+
+
+# Few features and thresholds, so features repeat along a path and on both
+# branches of a node, and rows land exactly on thresholds.
+CUTS = [-0.5, 0.0, 0.5]
+POINTS = [-1.0, -0.5, -0.25, 0.0, 0.25, 0.5, 1.0]
+
+
+@st.composite
+def hand_built_models(draw):
+    d = draw(st.integers(1, 5))
+    max_depth = draw(st.integers(0, 5))
+
+    def grow(tree, depth):
+        node = tree.add_node()
+        if depth < max_depth and draw(st.integers(0, 3)) < 3:  # split 3 times in 4
+            # offset by depth: the simplest draw gives distinct features on a path
+            tree.feature[node] = (depth + draw(st.integers(0, d - 1))) % d
+            tree.threshold[node] = draw(st.sampled_from(CUTS))
+            left, right = grow(tree, depth + 1), grow(tree, depth + 1)
+            tree.left[node], tree.right[node] = left, right
+            tree.cover[node] = tree.cover[left] + tree.cover[right]
+        else:
+            tree.value[node] = draw(st.floats(-2.0, 2.0))
+            tree.cover[node] = draw(st.floats(0.5, 10.0))
+        return node
+
+    trees = []
+    for _ in range(draw(st.integers(1, 3))):
+        tree = Tree()
+        grow(tree, 0)
+        trees.append(tree)
+    model = GbdtModel(
+        trees=trees, base_score=draw(st.floats(-1.0, 1.0)), eta=draw(st.floats(0.1, 1.0)),
+        reg_lambda=1.0, reg_gamma=0.0, max_depth=max_depth,
+        feature_names=[f"x{j}" for j in range(d)],
+    )
+    rows = draw(st.lists(st.lists(st.sampled_from(POINTS), min_size=d, max_size=d),
+                         min_size=1, max_size=6))
+    return model, np.array(rows)
+
+
+@settings(max_examples=300)
+@given(hand_built_models())
+def test_batch_matches_exact_on_hand_built_trees(case):
+    model, X = case
+    batch = tree_shap_batch(model, X)
+    for i, x in enumerate(X):
+        exact = shapley_exact(model, x)
+        assert np.abs(batch[i] - exact.values).max() < 1e-9
+        single = tree_shap(model, x)
+        assert np.array_equal(single.values, batch[i])
+        assert single.base_value == pytest.approx(exact.base_value, abs=1e-9)
+
+
+def test_deep_trees_explained_in_chunks():
+    # depth 10 on 8 features: hundreds of leaves with up to 8 path features,
+    # so 600 rows take many row chunks
+    rng = np.random.default_rng(5)
+    X = rng.standard_normal((3000, 8))
+    y = (rng.random(3000) < 1.0 / (1.0 + np.exp(-X.sum(axis=1)))).astype(float)
+    data = Dataset(X, y, np.ones(3000), [f"x{j}" for j in range(8)])
+    model = fit_gbdt(data, GbdtConfig(rounds=2, max_depth=10, min_child_cover=0.5))
+    slots = [attribution._leaf_slots(t) for t in model.trees]
+    assert max(t.zero.shape[1] for t in slots) > 4
+    assert max(t.zero.size for t in slots) * 100 > attribution.CHUNK_ENTRIES
+    batch = tree_shap_batch(model, X[:600])
+    margins = model.predict_margin(X[:600])
+    base = tree_shap(model, X[0]).base_value
+    assert np.abs(base + batch.sum(axis=1) - margins).max() < 1e-9
+    for i in (0, 1, 599):
+        assert np.abs(batch[i] - shapley_exact(model, X[i]).values).max() < 1e-9
+        assert np.array_equal(tree_shap(model, X[i]).values, batch[i])
+
+
+def test_long_path_sums_to_margin():
+    # a chain of splits on 63 distinct features, one leaf off each split
+    d = 63
+    tree = Tree()
+    node = tree.add_node()
+    for f in range(d):
+        leaf, rest = tree.add_node(), tree.add_node()
+        tree.feature[node], tree.threshold[node] = f, 0.0
+        tree.left[node], tree.right[node] = leaf, rest
+        tree.value[leaf], tree.value[rest] = float(f % 3), -1.0
+        tree.cover[leaf] = tree.cover[rest] = 1.0
+        node = rest
+    for node in reversed(range(len(tree.feature))):
+        if tree.feature[node] != -1:
+            tree.cover[node] = tree.cover[tree.left[node]] + tree.cover[tree.right[node]]
+    model = GbdtModel(
+        trees=[tree], base_score=0.0, eta=1.0, reg_lambda=1.0,
+        reg_gamma=0.0, max_depth=d, feature_names=[f"x{j}" for j in range(d)],
+    )
+    X = np.ones((3, d))
+    X[1, 40:] = -1.0
+    X[2, :] = -1.0
+    batch = tree_shap_batch(model, X)
+    base = tree_shap(model, X[0]).base_value
+    assert np.abs(base + batch.sum(axis=1) - model.predict_margin(X)).max() < 1e-9

@@ -96,6 +96,20 @@ def test_evaluate_damaged_model_exits_2(artifacts, capsys):
     assert "children outside" in capsys.readouterr().err
 
 
+def test_evaluate_damaged_pltr_exits_2(artifacts, capsys):
+    pltr = artifacts["root"] / "pltr.json"
+    assert run_cli("reduce-train", "--train", artifacts["train"], "--test", artifacts["test"],
+                   "--ranking", artifacts["ranking"], "--k", 3, "--kind", "pltr",
+                   "--out-model", pltr) == 0
+    env = json.loads(pltr.read_text())
+    env["payload"]["stumps"][0]["feature"] = 7  # the model has 3 features
+    damaged = artifacts["root"] / "damaged_pltr.json"
+    damaged.write_text(json.dumps(env))
+    capsys.readouterr()
+    assert run_cli("evaluate", "--model", damaged, "--data", artifacts["test"]) == 2
+    assert "outside [0, 3)" in capsys.readouterr().err
+
+
 def test_explain_local_accuracy(artifacts, capsys):
     import math
 

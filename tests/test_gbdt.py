@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 
@@ -111,6 +113,19 @@ def test_determinism(tiny_data):
     a = fit_gbdt(tiny_data, GbdtConfig(rounds=10))
     b = fit_gbdt(tiny_data, GbdtConfig(rounds=10))
     assert np.array_equal(a.predict_margin(tiny_data.X), b.predict_margin(tiny_data.X))
+
+
+def test_fit_leaves_no_reference_cycles(tiny_data):
+    # a cycle would keep each round's tree and gradient arrays alive until
+    # the cyclic collector runs
+    fit_gbdt(tiny_data, GbdtConfig(rounds=2))
+    gc.collect()
+    gc.disable()
+    try:
+        fit_gbdt(tiny_data, GbdtConfig(rounds=3))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_single_class_rejected():

@@ -170,3 +170,28 @@ def test_damaged_ebm_rejected_on_load(tmp_path, fitted_models, damage):
     path = _tampered(tmp_path, models["ebm"], EBM_DAMAGE[damage])
     with pytest.raises(ModelFormatError):
         persist.load_model(path)
+
+
+def _drop_last_coefficient(p):
+    for key in ("coef", "feature_names"):
+        p["linear"][key].pop()
+
+
+PLTR_DAMAGE = {
+    "stump feature out of range": lambda p: p["stumps"][0].__setitem__("feature", 7),
+    "negative stump feature": lambda p: p["stumps"][1].__setitem__("feature", -1),
+    "fractional stump feature": lambda p: p["stumps"][0].__setitem__("feature", 1.5),
+    "pair root out of range": lambda p: p["pair_splits"][0].__setitem__("root_feature", 4),
+    "pair second out of range": lambda p: p["pair_splits"][2].__setitem__("second_feature", 9),
+    "coefficient missing": _drop_last_coefficient,
+    "rule without coefficient": lambda p: p["stumps"].append(dict(p["stumps"][0])),
+    "original columns dropped": lambda p: p.__setitem__("include_original", False),
+}
+
+
+@pytest.mark.parametrize("damage", sorted(PLTR_DAMAGE))
+def test_damaged_pltr_rejected_on_load(tmp_path, fitted_models, damage):
+    _, models = fitted_models
+    path = _tampered(tmp_path, models["pltr"], PLTR_DAMAGE[damage])
+    with pytest.raises(ModelFormatError, match="pltr"):
+        persist.load_model(path)

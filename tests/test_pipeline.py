@@ -210,6 +210,30 @@ def test_run_full_smoke_and_lock(tmp_path):
         run_full(config, out)
 
 
+def test_run_full_lock_names_its_pid(tmp_path):
+    out = tmp_path / "run"
+    out.mkdir()
+    (out / ".lock").write_text("4242\n")
+    with pytest.raises(DataError, match=r"locked by .*\(pid 4242\)"):
+        run_full({"dataset": {"preset": "additive", "n_train": 200, "n_test": 100}}, out)
+    assert (out / ".lock").read_text() == "4242\n"
+
+
+def test_run_full_writes_its_pid_into_the_lock(tmp_path, monkeypatch):
+    out = tmp_path / "run"
+    seen = []
+
+    def read_lock(spec):
+        seen.append((out / ".lock").read_text())
+        raise DataError("stop after reading the lock")
+
+    monkeypatch.setattr(pipeline, "_load_experiment_datasets", read_lock)
+    with pytest.raises(DataError, match="stop after reading the lock"):
+        run_full({"dataset": {"preset": "additive"}}, out)
+    assert seen == [f"{os.getpid()}\n"]
+    assert not (out / ".lock").exists()
+
+
 def test_run_full_missing_dataset_path(tmp_path):
     config = {
         "dataset": {"train_csv": "/nonexistent.csv", "prep_config": "/nope.json"}
