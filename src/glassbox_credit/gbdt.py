@@ -1,10 +1,21 @@
 """Second-order gradient-boosted regression trees for binary classification.
 
-Exact greedy split search over sorted feature values with midpoint
-thresholds; logistic gradients/hessians scaled by sample weights; leaf
-weights -G/(H+lambda). Nothing is randomized, so identical data and config
-give bit-identical models. Ties between candidate splits break to the lowest
-feature index, then the lowest threshold.
+Exact greedy split search with midpoint thresholds; logistic gradients and
+hessians scaled by sample weights; leaf weights -G/(H+lambda). Nothing is
+randomized, so identical data and config give bit-identical models.
+
+The split search is presorted, as in the column blocks of XGBoost's exact
+greedy algorithm (Chen & Guestrin 2016): a fit stably argsorts each column
+once, and every node holds its row ids in each feature's sorted order. A
+node scans all features at once: cumulative sums of g and h along the
+sorted rows give one gain matrix over every (feature, cut). A child's block
+is its parent's filtered by the split, which keeps each feature's order and
+keeps tied values ordered by row id, the order a stable sort of the node's
+own rows gives; so the cumulative sums, and every gain, are the same bits.
+
+Ties between candidate splits break to the lowest feature index, then the
+lowest threshold: each feature's first argmax over its cuts in ascending
+order, then the first feature whose gain beats every earlier feature's.
 """
 
 from __future__ import annotations
@@ -18,6 +29,7 @@ from .errors import DataError
 from .linear import sigmoid
 
 _LEAF = -1
+_SCAN_CELLS = 1 << 13
 
 
 @dataclass
@@ -133,82 +145,120 @@ class GbdtModel:
         return sigmoid(self.predict_margin(X))
 
 
-def split_gain(g_l, h_l, g_r, h_r, reg_lambda, reg_gamma) -> float:
-    """Objective reduction of splitting a node into (L, R)."""
-    if h_l < 0 or h_r < 0:
-        raise DataError("hessian sums must be non-negative")
-    score = lambda g, h: g * g / (h + reg_lambda)
-    return 0.5 * (score(g_l, h_l) + score(g_r, h_r) - score(g_l + g_r, h_l + h_r)) - reg_gamma
+def split_gain(g_l, h_l, g, h, reg_lambda, reg_gamma):
+    """Objective reduction of splitting a node with gradient and hessian sums
+    ``(g, h)`` into a left child ``(g_l, h_l)`` and a right child
+    ``(g - g_l, h - h_l)``. Elementwise over arrays of left sums.
 
-
-def _best_split_for_node(X, g, h, idx, cfg: GbdtConfig):
-    """Exact scan over every feature's sorted unique values within the node.
-
-    Returns (gain, feature, threshold, left_mask) or None. Iterating features
-    in ascending index order with a strict improvement test implements the
-    lowest-feature / lowest-threshold tie-break.
+    The parent's sums are taken as given, never rebuilt from the children:
+    ``g_l + (g - g_l)`` need not equal ``g`` in floating point.
     """
-    G, H = g[idx].sum(), h[idx].sum()
+    if np.any(np.less(h_l, 0)) or h < 0:
+        raise DataError("hessian sums must be non-negative")
+    gain = g_l * g_l
+    gain /= h_l + reg_lambda
+    g_r = g - g_l
+    g_r *= g_r
+    g_r /= (h - h_l) + reg_lambda
+    gain += g_r
+    gain -= g * g / (h + reg_lambda)
+    gain *= 0.5
+    gain -= reg_gamma
+    return gain
+
+
+def _scan_features(g, h, G, H, rows, xt, cfg: GbdtConfig):
+    """Each feature's best cut over the node's presorted rows.
+
+    ``rows[i]`` holds the node's row ids in ascending order of ``xt[i]``,
+    the feature's column, ties by row id. Returns per feature the largest
+    gain at its first sorted position (the lowest threshold), -inf where no
+    cut is valid, and that cut's threshold.
+    """
+    at = rows.astype(np.intp)  # numpy gathers several times faster by intp
+    gl = g[at]
+    np.cumsum(gl, axis=1, out=gl)
+    hl = h[at]
+    np.cumsum(hl, axis=1, out=hl)
+    at += np.arange(0, xt.size, xt.shape[1])[:, None]  # flat positions in xt
+    vals = xt.ravel()[at]
+    # a cut after sorted position j sends positions 0..j left
+    gl, hl = gl[:, :-1], hl[:, :-1]
+    gains = split_gain(gl, hl, G, H, cfg.reg_lambda, cfg.reg_gamma)
+    ok = vals[:, 1:] != vals[:, :-1]
+    ok &= hl >= cfg.min_child_cover
+    ok &= np.subtract(H, hl, out=hl) >= cfg.min_child_cover
+    gains[~ok] = -np.inf
+    cuts = gains.argmax(axis=1)
+    i = np.arange(len(cuts))
+    return gains[i, cuts], 0.5 * (vals[i, cuts] + vals[i, cuts + 1])
+
+
+def _best_split(g, h, G, H, rows, xt, cfg: GbdtConfig):
+    """Exact greedy split of a node: (gain, feature, threshold) or None."""
+    d, m = rows.shape
+    top, thresholds = np.empty(d), np.empty(d)
+    for part in _feature_chunks(d, m):
+        top[part], thresholds[part] = _scan_features(g, h, G, H, rows[part], xt[part], cfg)
+    top = top.tolist()
     best = None
-    for f in range(X.shape[1]):
-        xs = X[idx, f]
-        order = np.argsort(xs, kind="mergesort")
-        xs_sorted = xs[order]
-        gs = g[idx][order]
-        hs = h[idx][order]
-        boundary = np.nonzero(xs_sorted[1:] != xs_sorted[:-1])[0]
-        if boundary.size == 0:
-            continue
-        Gc = np.cumsum(gs)
-        Hc = np.cumsum(hs)
-        GL, HL = Gc[boundary], Hc[boundary]
-        GR, HR = G - GL, H - HL
-        ok = (HL >= cfg.min_child_cover) & (HR >= cfg.min_child_cover)
-        if not ok.any():
-            continue
-        gains = 0.5 * (
-            GL * GL / (HL + cfg.reg_lambda)
-            + GR * GR / (HR + cfg.reg_lambda)
-            - G * G / (H + cfg.reg_lambda)
-        ) - cfg.reg_gamma
-        gains[~ok] = -np.inf
-        k = int(np.argmax(gains))  # first max -> lowest threshold
-        gain = float(gains[k])
-        if gain <= 0.0:
-            continue
-        if best is None or gain > best[0]:
-            thr = 0.5 * (xs_sorted[boundary[k]] + xs_sorted[boundary[k] + 1])
-            best = (gain, f, float(thr), None)
+    for f, gain in enumerate(top):
+        # strict improvement in ascending feature order: the lowest feature.
+        # `not gain <= 0` rather than `gain > 0`: a NaN gain is kept, as the
+        # per-node search this replaces kept it
+        if not gain <= 0.0 and (best is None or gain > top[best]):
+            best = f
     if best is None:
         return None
-    gain, f, thr, _ = best
-    return gain, f, thr, X[idx, f] < thr
+    return top[best], best, float(thresholds[best])
 
 
-def _grow_tree(X, g, h, cfg: GbdtConfig) -> Tree:
-    tree = Tree()
-    _grow_node(tree, X, g, h, cfg, np.arange(X.shape[0]), 0)
-    return tree
+def _feature_chunks(d, m):
+    """Slices of about ``_SCAN_CELLS`` (feature, row) cells of a node's
+    block: working chunk by chunk bounds a node's temporaries."""
+    step = max(1, _SCAN_CELLS // m)
+    return [slice(lo, lo + step) for lo in range(0, d, step)]
 
 
-def _grow_node(tree: Tree, X, g, h, cfg: GbdtConfig, idx, depth) -> int:
+def _child_rows(rows, keep, size):
+    """The presorted rows where ``keep`` is set. Selecting flat positions
+    keeps each feature's order, so ties stay ordered by row id."""
+    d, m = rows.shape
+    child = np.empty((d, size), dtype=rows.dtype)
+    for part in _feature_chunks(d, m):
+        sel = np.flatnonzero(keep[rows[part].astype(np.intp)])
+        child[part] = rows[part].ravel()[sel].reshape(-1, size)
+    return child
+
+
+def _grow_node(tree: Tree, g, h, xt, cfg: GbdtConfig, idx, rows, depth) -> int:
+    """Grow the subtree of the rows ``idx`` (ascending). ``rows`` holds them
+    presorted by each column of ``xt`` (X transposed), or is None where the
+    node cannot split."""
     # a module-level function, not a closure: a self-referencing closure is a
     # reference cycle that keeps the round's arrays alive until a GC pass
     node = tree.add_node()
-    G, H = g[idx].sum(), h[idx].sum()
+    G, H = g[idx].sum(), h[idx].sum()  # over ascending row ids, as always
     tree.cover[node] = float(H)
-    found = None
-    if depth < cfg.max_depth:
-        found = _best_split_for_node(X, g, h, idx, cfg)
+    found = None if rows is None else _best_split(g, h, G, H, rows, xt, cfg)
     if found is None:
         tree.value[node] = float(-G / (H + cfg.reg_lambda))
         return node
-    gain, f, thr, left_mask = found
+    gain, f, thr = found
     tree.feature[node] = f
     tree.threshold[node] = thr
     tree.gain[node] = gain
-    tree.left[node] = _grow_node(tree, X, g, h, cfg, idx[left_mask], depth + 1)
-    tree.right[node] = _grow_node(tree, X, g, h, cfg, idx[~left_mask], depth + 1)
+    # the rows with x < thr lead feature f's sorted rows
+    n_left = int(np.searchsorted(xt[f][rows[f]], thr))
+    goes_left = np.zeros(len(g), dtype=bool)
+    goes_left[rows[f, :n_left]] = True
+    children = []
+    for keep, size in ((goes_left, n_left), (~goes_left, len(idx) - n_left)):
+        child = None
+        if depth + 1 < cfg.max_depth and size > 1:
+            child = _child_rows(rows, keep, size)
+        children.append(_grow_node(tree, g, h, xt, cfg, idx[keep[idx]], child, depth + 1))
+    tree.left[node], tree.right[node] = children
     return node
 
 
@@ -219,12 +269,19 @@ def fit_gbdt(data: Dataset, config: GbdtConfig) -> GbdtModel:
     base_rate = float((w * y).sum() / w.sum())
     base_score = float(np.log(base_rate / (1.0 - base_rate)))
     margin = np.full(data.n, base_score)
+    # one stable argsort per column per fit; every round's root reuses it
+    xt = np.ascontiguousarray(X.T)
+    rows = np.empty(xt.shape, dtype=np.int32)
+    for f, column in enumerate(xt):
+        rows[f] = np.argsort(column, kind="stable")
+    idx = np.arange(data.n)
     trees = []
     for _ in range(config.rounds):
         p = sigmoid(margin)
         g = w * (p - y)
         h = w * p * (1.0 - p)
-        tree = _grow_tree(X, g, h, config)
+        tree = Tree()
+        _grow_node(tree, g, h, xt, config, idx, rows if config.max_depth > 0 else None, 0)
         trees.append(tree)
         margin += config.eta * tree.predict(X)
     return GbdtModel(

@@ -8,7 +8,10 @@ config echo, optional hash of the training manifest).
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
+import secrets
 
 import numpy as np
 
@@ -38,12 +41,26 @@ def _lr_payload(model: LinearModel) -> dict:
 
 
 def _lr_restore(body: dict) -> LinearModel:
+    coef = np.array(body["coef"], dtype=float)
+    names = list(body["feature_names"])
+    if coef.shape != (len(names),):
+        raise ModelFormatError(f"lr model has {coef.size} coefficients for {len(names)} features")
+    scaling = {}
+    for key in ("means", "stds"):
+        if body[key] is not None:
+            scaling[key] = np.array(body[key], dtype=float)
+            if scaling[key].shape != coef.shape:
+                raise ModelFormatError(
+                    f"lr {key} has {scaling[key].size} entries for {coef.size} coefficients"
+                )
+    if len(scaling) == 1:
+        raise ModelFormatError("lr means and stds must both be set or both be null")
     return LinearModel(
         intercept=body["intercept"],
-        coef=np.array(body["coef"], dtype=float),
-        feature_names=list(body["feature_names"]),
-        means=None if body["means"] is None else np.array(body["means"], dtype=float),
-        stds=None if body["stds"] is None else np.array(body["stds"], dtype=float),
+        coef=coef,
+        feature_names=names,
+        means=scaling.get("means"),
+        stds=scaling.get("stds"),
         diagnostics=dict(body.get("diagnostics", {})),
     )
 
@@ -247,9 +264,25 @@ def dumps(model, train_manifest_hash: str | None = None) -> str:
     return json.dumps(envelope(model, train_manifest_hash), indent=2) + "\n"
 
 
+def write_atomic(path, text: str) -> None:
+    """Write ``text`` to ``path`` through a temporary file in the same
+    directory and ``os.replace``: a write that fails midway leaves any old
+    file at ``path`` as it was and no partial or temporary file behind."""
+    path = os.fspath(path)
+    directory, name = os.path.split(path)
+    tmp = os.path.join(directory, f".{name}.{os.getpid()}.{secrets.token_hex(4)}.tmp")
+    try:
+        with open(tmp, "x", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
+
+
 def save_model(model, path, train_manifest_hash: str | None = None) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps(model, train_manifest_hash))
+    write_atomic(path, dumps(model, train_manifest_hash))
 
 
 def from_envelope(env: dict):

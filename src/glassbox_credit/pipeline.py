@@ -101,23 +101,25 @@ class ExperimentReport:
         }
         return json.dumps(body, indent=2, sort_keys=True) + "\n"
 
-    def write_csv(self, path) -> None:
+    def to_csv(self) -> str:
         import csv
+        import io
 
         metric_cols = ["auprc", "auroc", "f1", "balanced_accuracy"]
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
+        out = io.StringIO(newline="")
+        writer = csv.writer(out)
+        writer.writerow(
+            ["model_kind", "k", "n_pairs", "feature_hash"]
+            + [f"train_{c}" for c in metric_cols]
+            + [f"test_{c}" for c in metric_cols]
+        )
+        for row in self.rows:
             writer.writerow(
-                ["model_kind", "k", "n_pairs", "feature_hash"]
-                + [f"train_{c}" for c in metric_cols]
-                + [f"test_{c}" for c in metric_cols]
+                [row["model_kind"], row["k"], row["n_pairs"], row["feature_hash"]]
+                + [repr(row["train"][c]) for c in metric_cols]
+                + [repr(row["test"][c]) for c in metric_cols]
             )
-            for row in self.rows:
-                writer.writerow(
-                    [row["model_kind"], row["k"], row["n_pairs"], row["feature_hash"]]
-                    + [repr(row["train"][c]) for c in metric_cols]
-                    + [repr(row["test"][c]) for c in metric_cols]
-                )
+        return out.getvalue()
 
 
 def feature_hash(names) -> str:
@@ -428,14 +430,6 @@ def _stage(n: int, name: str):
     return _StageContext()
 
 
-def _sha256_file(path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
-
-
 def run_full(config: dict | str, out_dir) -> ExperimentReport:
     """Execute a configured experiment into ``out_dir``.
 
@@ -469,10 +463,9 @@ def run_full(config: dict | str, out_dir) -> ExperimentReport:
     artifacts = {}
 
     def emit(name: str, text: str):
-        path = os.path.join(out_dir, name)
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        artifacts[name] = _sha256_file(path)
+        persist.write_atomic(os.path.join(out_dir, name), text)
+        # write_atomic writes exactly the text's UTF-8 bytes
+        artifacts[name] = hashlib.sha256(text.encode("utf-8")).hexdigest()
 
     try:
         with _stage(0, "load data"):
@@ -544,18 +537,17 @@ def run_full(config: dict | str, out_dir) -> ExperimentReport:
 
         with _stage(7, "write reports"):
             emit("report.json", report.to_json())
-            csv_path = os.path.join(out_dir, "report.csv")
-            report.write_csv(csv_path)
-            artifacts["report.csv"] = _sha256_file(csv_path)
+            emit("report.csv", report.to_csv())
             manifest = {
                 "config_hash": hashlib.sha256(
                     json.dumps(config, sort_keys=True).encode("utf-8")
                 ).hexdigest(),
                 "artifacts": dict(sorted(artifacts.items())),
             }
-            with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8") as fh:
-                json.dump(manifest, fh, indent=2, sort_keys=True)
-                fh.write("\n")
+            persist.write_atomic(
+                os.path.join(out_dir, "manifest.json"),
+                json.dumps(manifest, indent=2, sort_keys=True) + "\n",
+            )
     finally:
         os.unlink(lock_path)
     return report

@@ -110,6 +110,22 @@ def test_evaluate_damaged_pltr_exits_2(artifacts, capsys):
     assert "outside [0, 3)" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key", ["coef", "means", "stds"])
+def test_evaluate_damaged_lr_exits_2(artifacts, capsys, key):
+    lr = artifacts["root"] / "lr.json"
+    if not lr.exists():
+        assert run_cli("train", "--train", artifacts["train"], "--test", artifacts["test"],
+                       "--kind", "lr", "--out-model", lr) == 0
+    env = json.loads(lr.read_text())
+    assert env["payload"]["means"] is not None
+    del env["payload"][key][2:]  # the model has 50 features
+    damaged = artifacts["root"] / f"damaged_lr_{key}.json"
+    damaged.write_text(json.dumps(env))
+    capsys.readouterr()
+    assert run_cli("evaluate", "--model", damaged, "--data", artifacts["test"]) == 2
+    assert "for 50" in capsys.readouterr().err
+
+
 def test_explain_local_accuracy(artifacts, capsys):
     import math
 

@@ -1,7 +1,12 @@
 import gc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from glassbox_credit import gbdt, persist
 
 from glassbox_credit.data import Dataset
 from glassbox_credit.errors import DataError
@@ -18,14 +23,24 @@ from glassbox_credit.metrics import log_loss
 
 
 def test_split_gain_known_value():
-    # 0.5 * (4/2 + 4/2 - 0/3) - 0 = 2
-    assert split_gain(-2.0, 1.0, 2.0, 1.0, 1.0, 0.0) == 2.0
+    # left (-2, 1), right (2, 1), parent (0, 2): 0.5 * (4/2 + 4/2 - 0/3) - 0 = 2
+    assert split_gain(-2.0, 1.0, 0.0, 2.0, 1.0, 0.0) == 2.0
 
 
 def test_split_gain_gamma_and_negative_hessian():
-    assert split_gain(-2.0, 1.0, 2.0, 1.0, 1.0, 0.5) == 1.5
+    assert split_gain(-2.0, 1.0, 0.0, 2.0, 1.0, 0.5) == 1.5
     with pytest.raises(DataError):
-        split_gain(1.0, -0.1, 1.0, 1.0, 1.0, 0.0)
+        split_gain(1.0, -0.1, 2.0, 0.9, 1.0, 0.0)
+
+
+def test_split_gain_is_elementwise():
+    g_l, h_l = np.array([[-2.0, 1.0], [0.5, -1.0]]), np.array([[1.0, 0.5], [2.0, 1.5]])
+    got = split_gain(g_l, h_l, 0.25, 3.0, 1.0, 0.1)
+    want = [[split_gain(a, b, 0.25, 3.0, 1.0, 0.1) for a, b in zip(ra, rb)]
+            for ra, rb in zip(g_l, h_l)]
+    assert got.tolist() == want
+    with pytest.raises(DataError):
+        split_gain(g_l, -h_l, 0.25, 3.0, 1.0, 0.0)
 
 
 def test_gradients_match_finite_differences():
@@ -157,3 +172,111 @@ def test_routing_left_strictly_below_threshold():
     tree.cover[left] = tree.cover[right] = 1.0
     out = tree.predict(np.array([[0.9], [1.0], [1.1]]))
     assert out.tolist() == [-1.0, 1.0, 1.0]  # x < t goes left; ties go right
+
+
+# Reference split search: the per-node, per-feature scan the presorted
+# all-features scan replaced, kept as an oracle for byte-identical trees.
+def reference_best_split(X, g, h, idx, cfg):
+    G, H = g[idx].sum(), h[idx].sum()
+    best = None
+    for f in range(X.shape[1]):
+        xs = X[idx, f]
+        order = np.argsort(xs, kind="mergesort")
+        xs_sorted = xs[order]
+        gs = g[idx][order]
+        hs = h[idx][order]
+        boundary = np.nonzero(xs_sorted[1:] != xs_sorted[:-1])[0]
+        if boundary.size == 0:
+            continue
+        Gc = np.cumsum(gs)
+        Hc = np.cumsum(hs)
+        GL, HL = Gc[boundary], Hc[boundary]
+        GR, HR = G - GL, H - HL
+        ok = (HL >= cfg.min_child_cover) & (HR >= cfg.min_child_cover)
+        if not ok.any():
+            continue
+        gains = 0.5 * (
+            GL * GL / (HL + cfg.reg_lambda)
+            + GR * GR / (HR + cfg.reg_lambda)
+            - G * G / (H + cfg.reg_lambda)
+        ) - cfg.reg_gamma
+        gains[~ok] = -np.inf
+        k = int(np.argmax(gains))
+        gain = float(gains[k])
+        if gain <= 0.0:
+            continue
+        if best is None or gain > best[0]:
+            thr = 0.5 * (xs_sorted[boundary[k]] + xs_sorted[boundary[k] + 1])
+            best = (gain, f, float(thr))
+    if best is None:
+        return None
+    gain, f, thr = best
+    return gain, f, thr, X[idx, f] < thr
+
+
+def reference_grow_node(tree, X, g, h, cfg, idx, depth):
+    node = tree.add_node()
+    G, H = g[idx].sum(), h[idx].sum()
+    tree.cover[node] = float(H)
+    found = reference_best_split(X, g, h, idx, cfg) if depth < cfg.max_depth else None
+    if found is None:
+        tree.value[node] = float(-G / (H + cfg.reg_lambda))
+        return node
+    gain, f, thr, left_mask = found
+    tree.feature[node] = f
+    tree.threshold[node] = thr
+    tree.gain[node] = gain
+    tree.left[node] = reference_grow_node(tree, X, g, h, cfg, idx[left_mask], depth + 1)
+    tree.right[node] = reference_grow_node(tree, X, g, h, cfg, idx[~left_mask], depth + 1)
+    return node
+
+
+def reference_fit(data, cfg):
+    X, y, w = data.X, data.y, data.w
+    base_rate = float((w * y).sum() / w.sum())
+    base_score = float(np.log(base_rate / (1.0 - base_rate)))
+    margin = np.full(data.n, base_score)
+    trees = []
+    for _ in range(cfg.rounds):
+        p = sigmoid(margin)
+        tree = Tree()
+        reference_grow_node(tree, X, w * (p - y), w * p * (1.0 - p), cfg, np.arange(data.n), 0)
+        trees.append(tree)
+        margin += cfg.eta * tree.predict(X)
+    return GbdtModel(trees, base_score, cfg.eta, cfg.reg_lambda, cfg.reg_gamma,
+                     cfg.max_depth, list(data.feature_names), cfg.as_dict())
+
+
+@st.composite
+def small_fits(draw):
+    """Few rows over a few distinct values, so ties and constant columns are
+    common; positive weights; every regularization knob drawn."""
+    n = draw(st.integers(2, 40))
+    d = draw(st.integers(1, 4))
+    cells = st.sampled_from([-1.0, 0.0, 0.5, 2.0])
+    X = np.array(draw(st.lists(cells, min_size=n * d, max_size=n * d))).reshape(n, d)
+    y = np.array(draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=n, max_size=n)))
+    y[:2] = [0.0, 1.0]
+    # weights from a small set make equal gains, and so the tie rules, common
+    weights = draw(st.sampled_from([st.sampled_from([1.0, 2.0]), st.floats(0.1, 10.0)]))
+    w = np.array(draw(st.lists(weights, min_size=n, max_size=n)))
+    config = GbdtConfig(
+        rounds=draw(st.integers(1, 3)),
+        eta=draw(st.sampled_from([0.1, 0.3, 1.0])),
+        max_depth=draw(st.integers(1, 6)),
+        reg_lambda=draw(st.floats(0.0, 2.0)),
+        reg_gamma=draw(st.floats(0.0, 1.0)),
+        min_child_cover=draw(st.floats(0.0, 20.0)),
+    )
+    data = Dataset(X, y, w, [f"x{j}" for j in range(d)])
+    return data, config, draw(st.sampled_from([1, 7, gbdt._SCAN_CELLS]))
+
+
+@settings(max_examples=300)
+@given(small_fits())
+def test_presorted_scan_matches_per_node_reference(case):
+    data, config, scan_cells = case
+    # small chunks make the scan visit the features in several slices
+    with mock.patch.object(gbdt, "_SCAN_CELLS", scan_cells):
+        got = persist.dumps(fit_gbdt(data, config))
+    assert got == persist.dumps(reference_fit(data, config))

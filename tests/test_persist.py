@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -195,3 +196,44 @@ def test_damaged_pltr_rejected_on_load(tmp_path, fitted_models, damage):
     path = _tampered(tmp_path, models["pltr"], PLTR_DAMAGE[damage])
     with pytest.raises(ModelFormatError, match="pltr"):
         persist.load_model(path)
+
+
+LR_DAMAGE = {
+    "coefficient missing": lambda p: p["coef"].pop(),
+    "extra feature name": lambda p: p["feature_names"].append("e"),
+    "means cut short": lambda p: p.update(means=[0.0, 0.0], stds=[1.0] * 4),
+    "stds too long": lambda p: p.update(means=[0.0] * 4, stds=[1.0] * 5),
+    "means without stds": lambda p: p.update(means=[0.0] * 4, stds=None),
+}
+
+
+@pytest.mark.parametrize("damage", sorted(LR_DAMAGE))
+def test_damaged_lr_rejected_on_load(tmp_path, fitted_models, damage):
+    _, models = fitted_models
+    path = _tampered(tmp_path, models["lr"], LR_DAMAGE[damage])
+    with pytest.raises(ModelFormatError, match="lr"):
+        persist.load_model(path)
+
+
+def _fail_replace(src, dst):
+    raise OSError("disk full")
+
+
+@pytest.mark.parametrize("failure", ["text cannot be encoded", "replace fails"])
+def test_failed_save_leaves_no_partial_or_temp_file(tmp_path, fitted_models, monkeypatch, failure):
+    _, models = fitted_models
+    old, new = tmp_path / "old.json", tmp_path / "new.json"
+    persist.save_model(models["lr"], old)
+    before = old.read_bytes()
+    if failure == "replace fails":
+        monkeypatch.setattr(os, "replace", _fail_replace)
+        error = OSError
+    else:
+        text = persist.dumps(models["gbdt"])
+        monkeypatch.setattr(persist, "dumps", lambda *a: text[:1000] + "\ud800" + text[1000:])
+        error = UnicodeEncodeError
+    for path in (old, new):
+        with pytest.raises(error):
+            persist.save_model(models["gbdt"], path)
+    assert old.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["old.json"]

@@ -234,6 +234,28 @@ def test_run_full_writes_its_pid_into_the_lock(tmp_path, monkeypatch):
     assert not (out / ".lock").exists()
 
 
+def test_run_full_failed_write_leaves_no_partial_artifact(tmp_path, monkeypatch):
+    replace = os.replace
+
+    def fail_on_manifest(src, dst):
+        if os.path.basename(dst) == "manifest.json":
+            raise OSError("disk full")
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", fail_on_manifest)
+    config = {
+        "dataset": {"preset": "additive", "n_train": 300, "n_test": 100},
+        "model_configs": {"gbdt": {"rounds": 2}, "ebm": {"rounds": 5}},
+        "k": 3,
+    }
+    out = tmp_path / "run"
+    with pytest.raises(OSError, match="disk full"):
+        run_full(config, out)
+    assert sorted(p.name for p in out.iterdir()) == [
+        "base_gbdt.json", "ranking.json", "reduced_ebm_k3.json", "report.csv", "report.json",
+    ]
+
+
 def test_run_full_missing_dataset_path(tmp_path):
     config = {
         "dataset": {"train_csv": "/nonexistent.csv", "prep_config": "/nope.json"}
