@@ -26,6 +26,8 @@ FICO_LOW = "fico_range_low"
 # The merged column keeps the high-bound name; encoded rankings use it.
 FICO_MERGED = "fico_range_high"
 MISSING_CATEGORY = "nan"
+# Leading columns of a cached dataset CSV, before the features.
+CACHE_COLUMNS = ["__label__", "__weight__"]
 
 
 @dataclass
@@ -419,7 +421,7 @@ def cache_dataset(data: Dataset, csv_path, manifest_path, stats=None):
     """Write a prepared Dataset as CSV plus a sidecar JSON manifest."""
     with open(csv_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(self_cols := (["__label__", "__weight__"] + data.feature_names))
+        writer.writerow(self_cols := (CACHE_COLUMNS + data.feature_names))
         for i in range(data.n):
             writer.writerow(
                 [repr(float(data.y[i])), repr(float(data.w[i]))]
@@ -437,10 +439,30 @@ def cache_dataset(data: Dataset, csv_path, manifest_path, stats=None):
 
 
 def load_cached_dataset(csv_path) -> Dataset:
+    """Read a Dataset written by ``cache_dataset``. DataError when the file
+    is empty, has no rows, lacks the leading label and weight columns, or
+    holds a non-numeric cell or a row of another width than the header."""
     with open(csv_path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        rows = [[float(c) for c in row] for row in reader]
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise DataError(f"{csv_path}: empty file")
+            if header[:2] != CACHE_COLUMNS:
+                raise DataError(
+                    f"{csv_path}: not a cached dataset: the header must start with "
+                    + ",".join(CACHE_COLUMNS)
+                )
+            rows = [list(map(float, row)) for row in reader]
+        except (ValueError, csv.Error) as exc:
+            raise DataError(f"{csv_path}, line {reader.line_num}: {exc}") from None
+    if not rows:
+        raise DataError(f"{csv_path}: no data rows")
+    for i, row in enumerate(rows):
+        if len(row) != len(header):
+            raise DataError(
+                f"{csv_path}, line {i + 2}: {len(row)} cells, the header has {len(header)}"
+            )
     arr = np.array(rows, dtype=float)
     return Dataset(
         X=arr[:, 2:], y=arr[:, 0], w=arr[:, 1], feature_names=header[2:]

@@ -12,6 +12,14 @@ into each term, so per-bin sums, region values and margin updates are the
 same code for both. A deterministic stride holdout stops boosting early and
 restores the best cycle. Main effects are boosted first and mean-centred;
 pairs are then boosted on the residuals with the main effects frozen.
+
+A pair grid has up to 256 × 256 cells but sees only as many rows as the
+fit, so almost all of its cells are empty. The depth-2 tree on a grid is
+therefore scored from the rows, not the grid: each candidate cut's left
+sums are 1-D ``np.bincount`` sums of the region's rows along the cut's
+axis (``_best_regions_2d_rows``), O(rows + bins) per search. Pair
+detection scores every pair this way from per-feature sums shared by all
+partners; region values still come from the dense per-cell sums.
 """
 
 from __future__ import annotations
@@ -194,46 +202,93 @@ def _best_segments_1d(Gb, Hb, max_leaves, counts, min_leaf=1):
     return [np.s_[lo:hi] for lo, hi in segments]
 
 
-def _best_regions_2d(G2, H2, C2, min_leaf=1):
-    """Depth-2 axis-aligned tree on the bin grid. Returns (regions, gain):
-    regions are ``np.s_[r0:r1, c0:c1]`` rectangles; gain is the total
-    objective reduction relative to the unsplit grid."""
+def _best_cuts(sums, lengths, totals, min_leaf):
+    """First best cut along each row of zero-padded per-bin sums.
 
-    def best_split(region):
-        Gr, Hr, Cr = G2[region], H2[region], C2[region]
-        Gt, Ht = Gr.sum(), Hr.sum()
-        base = _score(Gt, Ht)
-        best = None
-        for axis in (0, 1):
-            g, h, c = (A.sum(axis=1 - axis) for A in (Gr, Hr, Cr))
-            gl, hl, cl = np.cumsum(g)[:-1], np.cumsum(h)[:-1], np.cumsum(c)[:-1]
-            valid = (cl >= min_leaf) & (c.sum() - cl >= min_leaf)
-            if not valid.any():
-                continue
-            gains = _score(gl, hl) + _score(Gt - gl, Ht - hl) - base
-            gains[~valid] = -np.inf
-            k = int(np.argmax(gains))
-            if gains[k] > 0 and (best is None or gains[k] > best[0]):
-                best = (float(gains[k]), axis, k + 1)
-        return best
+    Row i of each ``(rows, L)`` table in ``sums`` holds the (g, h, count)
+    sums of one region along one axis, ``lengths[i]`` bins long; ``totals``
+    are the (G, H, count) of each row's region. Returns each row's best gain
+    (-inf where no cut leaves ``min_leaf`` rows on both sides) and the bins
+    before that cut. The cumulative sums are sequential, so the padding
+    changes no bit of them.
+    """
+    G, H, C = (t[:, None] for t in totals)
+    gl, hl, cl = (np.cumsum(s, axis=1)[:, :-1] for s in sums)
+    cuts = np.arange(1, gl.shape[1] + 1)
+    valid = (cl >= min_leaf) & (C - cl >= min_leaf) & (cuts < lengths[:, None])
+    gains = _score(gl, hl) + _score(G - gl, H - hl) - _score(G, H)
+    gains[~valid] = -np.inf
+    best = np.argmax(gains, axis=1)
+    return gains[np.arange(len(best)), best], cuts[best]
 
-    regions = [np.s_[0 : G2.shape[0], 0 : G2.shape[1]]]
-    total_gain = 0.0
-    for _ in range(2):
-        split = []
-        for region in regions:
-            found = best_split(region)
-            if found is None:
-                split.append(region)
-                continue
-            gain, axis, k = found
-            total_gain += gain
-            cut = region[axis].start + k
-            for part in (slice(region[axis].start, cut), slice(cut, region[axis].stop)):
-                split.append(region[:axis] + (part,) + region[axis + 1 :])
-        if len(split) == len(regions):
-            break
-        regions = split
+
+def _pick_axis(gains, cuts):
+    """A region's split from its two axes' best cuts: (gain, axis, bins
+    before the cut), or None. Axis 1 must beat axis 0 strictly."""
+    best = None
+    for axis in (0, 1):
+        if gains[axis] > 0 and (best is None or gains[axis] > best[0]):
+            best = (float(gains[axis]), axis, int(cuts[axis]))
+    return best
+
+
+def _best_regions_2d_rows(coords, shape, g, h, min_leaf=1, level1=None):
+    """Depth-2 axis-aligned tree on a pair's bin grid, scored from its rows.
+
+    ``coords`` holds each row's bin along both axes of the ``shape`` grid;
+    ``g`` and ``h`` are the rows' gradients and hessians. Each level of the
+    tree scores all its candidate cuts at once: one ``np.bincount`` per
+    quantity (g, h, row count) gives, for every region and axis, the per-bin sums of the
+    region's rows along that axis, as one row of a table padded to
+    ``L = max(shape)`` bins. A search so costs O(rows + bins), however
+    sparse the grid. ``level1`` is the first level's ``(2, L')`` tables,
+    ``L' >= L``, when the caller has them. A region's totals are those of
+    its rows. The first maximum wins within an axis, and axis 1 must beat
+    axis 0 strictly. Returns (regions, gain): regions are
+    ``np.s_[r0:r1, c0:c1]`` rectangles; gain is the total objective
+    reduction relative to the unsplit grid.
+    """
+    whole = np.s_[0 : shape[0], 0 : shape[1]]
+    if max(shape) < 2:
+        return [whole], 0.0
+    L = max(shape)
+    g2, h2 = np.concatenate((g, g)), np.concatenate((h, h))
+    if level1 is None:
+        stacked = np.concatenate((coords[0], coords[1] + L))
+        level1 = [_grid_sums(stacked, (2, L), w) for w in (g2, h2, None)]
+    totals = [np.array([t]) for t in (g.sum(), h.sum(), len(g))]
+    gains, cuts = _best_cuts(level1, np.array(shape), totals, min_leaf)
+    found = _pick_axis(gains, cuts)
+    if found is None:
+        return [whole], 0.0
+    total_gain, a, cut = found
+    o = 1 - a
+    halves = [
+        whole[:a] + (part,) + whole[a + 1 :]
+        for part in (slice(0, cut), slice(cut, shape[a]))
+    ]
+    # level 2: row 2k + axis of the tables holds half k's sums along that
+    # axis, its bins counted from the half's own start
+    side = (coords[a] >= cut).astype(np.intp)
+    stacked = np.concatenate(
+        ((2 * side + a) * L + coords[a] - side * cut, (2 * side + o) * L + coords[o])
+    )
+    sums = [_grid_sums(stacked, (4, L), w) for w in (g2, h2, None)]
+    lengths = np.array(shape * 2)
+    lengths[a], lengths[2 + a] = cut, shape[a] - cut
+    totals = [np.repeat(np.bincount(side, w, 2), 2) for w in (g, h, None)]
+    gains, cuts = _best_cuts(sums, lengths, totals, min_leaf)
+    regions = []
+    for k, region in enumerate(halves):
+        found = _pick_axis(gains[2 * k : 2 * k + 2], cuts[2 * k : 2 * k + 2])
+        if found is None:
+            regions.append(region)
+            continue
+        gain, b, n_low = found
+        total_gain += gain
+        lo, hi = region[b].start, region[b].stop
+        for piece in (slice(lo, lo + n_low), slice(lo + n_low, hi)):
+            regions.append(region[:b] + (piece,) + region[b + 1 :])
     return regions, total_gain
 
 
@@ -250,16 +305,24 @@ def _boost_terms(data, index, terms, margins, rounds, config) -> int:
     ``index[t]`` is each row's flat bin index into ``terms[t]`` and
     ``margins`` the rows' starting margins. Each visit fits a tiny tree on
     the term's bins to the second-order residuals of the weighted logistic
-    loss and adds its shrunk leaf values. Stops on ``tol`` or, when a
-    holdout exists, after ``patience`` cycles without holdout gain; the
-    best cycle's terms are then restored.
+    loss and adds its shrunk leaf values. A shape's cuts come from its
+    per-bin sums; a pair grid's from its rows, whose two bin coordinates
+    are split from the flat index once per fit. Both take each region's
+    value from the dense per-bin sums. Stops on ``tol`` or, when a holdout
+    exists, after ``patience`` cycles without holdout gain; the best
+    cycle's terms are then restored.
     """
     val = _holdout_mask(data.n, config)
     fit = ~val
     yf, wf, yv, wv = data.y[fit], data.w[fit], data.y[val], data.w[val]
     index_f = [ix[fit] for ix in index]
     index_v = [ix[val] for ix in index]
-    fit_counts = [_grid_sums(ix, t.shape) for ix, t in zip(index_f, terms)]
+    # what each term's cut search needs besides the residuals: the bin
+    # counts of a shape, each row's two bin coordinates in a pair grid
+    layout = [
+        _grid_sums(ix, t.shape) if t.ndim == 1 else divmod(ix, t.shape[1])
+        for ix, t in zip(index_f, terms)
+    ]
     margins_f, margins_v = margins[fit], margins[val]
     lr = config.learning_rate
     prev_loss = log_loss(sigmoid(margins_f), yf, wf)
@@ -268,14 +331,17 @@ def _boost_terms(data, index, terms, margins, rounds, config) -> int:
     for cycle in range(1, rounds + 1):
         for t, term in enumerate(terms):
             p = sigmoid(margins_f)
-            G = _grid_sums(index_f[t], term.shape, wf * (p - yf))
-            H = _grid_sums(index_f[t], term.shape, wf * p * (1.0 - p))
+            g, h = wf * (p - yf), wf * p * (1.0 - p)
+            G = _grid_sums(index_f[t], term.shape, g)
+            H = _grid_sums(index_f[t], term.shape, h)
             if term.ndim == 1:
                 regions = _best_segments_1d(
-                    G, H, config.max_leaves, fit_counts[t], config.min_samples_leaf
+                    G, H, config.max_leaves, layout[t], config.min_samples_leaf
                 )
             else:
-                regions, _ = _best_regions_2d(G, H, fit_counts[t], config.min_samples_leaf)
+                regions, _ = _best_regions_2d_rows(
+                    layout[t], term.shape, g, h, config.min_samples_leaf
+                )
             delta = np.zeros(term.shape)
             for region in regions:
                 Gs, Hs = G[region].sum(), H[region].sum()
@@ -356,13 +422,22 @@ def detect_pairs(data: Dataset, model: EbmModel, m: int) -> list[tuple[int, int]
     p = sigmoid(margins)
     g = data.w * (p - data.y)
     h = data.w * p * (1.0 - p)
-    B = model._bin_matrix(data.X)
+    bins = np.ascontiguousarray(model._bin_matrix(data.X).T)
+    n_bins = [len(c) + 1 for c in model.bin_cuts]
+    # A pair's first-level sums along each axis are that feature's,
+    # whatever the partner: one table row per feature, computed once.
+    L = max(n_bins)
+    flat = (bins + L * np.arange(d)[:, None]).ravel()
+    per_feature = [_grid_sums(flat, (d, L), w) for w in (np.tile(g, d), np.tile(h, d), None)]
     scored = []
     for j in range(d):
         for q in range(j + 1, d):
-            index, shape = _pair_index(B, model, j, q)
-            _, gain = _best_regions_2d(
-                _grid_sums(index, shape, g), _grid_sums(index, shape, h), _grid_sums(index, shape)
+            _, gain = _best_regions_2d_rows(
+                (bins[j], bins[q]),
+                (n_bins[j], n_bins[q]),
+                g,
+                h,
+                level1=[s[[j, q]] for s in per_feature],
             )
             scored.append((gain, (j, q)))
     scored.sort(key=lambda t: (-t[0], t[1]))

@@ -430,6 +430,29 @@ def _stage(n: int, name: str):
     return _StageContext()
 
 
+def _describe_lock(lock_path) -> str:
+    """The lock file and the pid it names; a pid that is no live process on
+    this host is called stale, with the file to remove. The lock is never
+    taken over: a pid from another host sharing the directory would look
+    dead here too."""
+    try:
+        with open(lock_path, encoding="utf-8", errors="replace") as fh:
+            owner = fh.read().strip() or "unknown"
+    except OSError:  # released meanwhile, or not a file
+        owner = "unknown"
+    if owner.isdigit() and 0 < int(owner) < 2**31:
+        try:
+            os.kill(int(owner), 0)
+        except ProcessLookupError:
+            return (
+                f"{lock_path} (pid {owner}): the lock is stale, no process {owner} runs "
+                f"on this host; remove {lock_path} if no other host writes here"
+            )
+        except OSError:  # alive, but owned by another user
+            pass
+    return f"{lock_path} (pid {owner})"
+
+
 def run_full(config: dict | str, out_dir) -> ExperimentReport:
     """Execute a configured experiment into ``out_dir``.
 
@@ -449,12 +472,7 @@ def run_full(config: dict | str, out_dir) -> ExperimentReport:
     try:
         lock_fd = os.open(lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
     except FileExistsError:
-        try:
-            with open(lock_path, encoding="utf-8", errors="replace") as fh:
-                owner = fh.read().strip() or "unknown"
-        except OSError:  # released meanwhile, or not a file
-            owner = "unknown"
-        raise DataError(f"output directory is locked by {lock_path} (pid {owner})") from None
+        raise DataError(f"output directory is locked by {_describe_lock(lock_path)}") from None
     try:
         os.write(lock_fd, f"{os.getpid()}\n".encode("ascii"))
     finally:

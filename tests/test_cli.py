@@ -31,6 +31,16 @@ def test_missing_input_exits_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_malformed_cached_csv_exits_2(tmp_path, capsys):
+    ragged = tmp_path / "train.csv"
+    ragged.write_text("__label__,__weight__,a\n1.0,1.0,0.5\n0.0,1.0\n")
+    code = run_cli("train", "--train", ragged, "--test", ragged, "--kind", "lr",
+                   "--out-model", tmp_path / "model.json")
+    assert code == 2
+    assert "line 3" in capsys.readouterr().err
+    assert not (tmp_path / "model.json").exists()
+
+
 def test_console_script_installed():
     proc = subprocess.run(
         [sys.executable, "-m", "glassbox_credit.cli", "--version"],

@@ -234,6 +234,27 @@ def test_cache_round_trip(tmp_path):
     assert json.loads(manifest.read_text())
 
 
+CACHED_HEADER = "__label__,__weight__,a,b\n"
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("", "empty file"),
+        (CACHED_HEADER, "no data rows"),
+        (CACHED_HEADER + "1.0,1.0,0.5,abc\n", "line 2"),
+        (CACHED_HEADER + "1.0,1.0,0.5,2.0\n0.0,1.0,0.5\n", "line 3"),
+        ("label,weight,a,b\n1.0,1.0,0.5,2.0\n", "not a cached dataset"),
+        ("0.0,1.0,0.5,2.0\n1.0,1.0,0.5,2.0\n", "not a cached dataset"),
+    ],
+    ids=["empty", "header-only", "non-numeric", "ragged", "other-header", "raw-numeric"],
+)
+def test_malformed_cached_csv_rejected(tmp_path, text, message):
+    path = write_csv(tmp_path, text, "cached.csv")
+    with pytest.raises(DataError, match=message):
+        load_cached_dataset(path)
+
+
 def test_prep_config_validation(tmp_path):
     with pytest.raises(DataError):
         make_config(positive_label="Same", negative_label="Same")

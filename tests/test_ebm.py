@@ -6,8 +6,9 @@ from hypothesis import strategies as st
 from glassbox_credit.data import Dataset
 from glassbox_credit.ebm import (
     EbmConfig,
-    _best_regions_2d,
+    _best_regions_2d_rows,
     _best_segments_1d,
+    _grid_sums,
     build_bins,
     detect_pairs,
     export_pair_grid,
@@ -163,8 +164,9 @@ def test_pair_grid_export(tmp_path, xor_small):
     assert len(names) == 1 and names[0][1] > 0
 
 
-# Reference cut searches: the scalar implementations the vectorized
-# ``_best_segments_1d`` and ``_best_regions_2d`` replaced, kept as oracles.
+# Reference cut searches, kept as oracles: the scalar implementation the
+# vectorized ``_best_segments_1d`` replaced, and the dense-grid search the
+# row-based ``_best_regions_2d_rows`` replaced.
 _H_EPS = 1e-12
 
 
@@ -269,6 +271,20 @@ def bin_sums(cells):
     return G, H, counts
 
 
+def grid_rows(cells, shape):
+    """Rows whose per-cell sums are ``bin_sums(cells)``: one row carries a
+    cell's g and h, and its other ``count - 1`` rows carry zeros. Sums of
+    small integers are exact in any order."""
+    flat, g, h = [], [], []
+    for i, (count, gi, hi) in enumerate(cells):
+        for r in range(count):
+            flat.append(i)
+            g.append(float(gi) if r == 0 else 0.0)
+            h.append(float(hi) if r == 0 else 0.0)
+    rows, cols = divmod(np.array(flat, dtype=np.intp), shape[1])
+    return (rows, cols), np.array(g), np.array(h)
+
+
 CELL = st.tuples(st.integers(0, 3), st.integers(-3, 3), st.integers(0, 3))
 
 
@@ -293,7 +309,23 @@ GRID = st.tuples(st.integers(1, 5), st.integers(1, 5)).flatmap(
 def test_regions_2d_match_scalar_reference(grid, min_leaf):
     shape, cells = grid
     G, H, C = (a.reshape(shape) for a in bin_sums(cells))
-    got, gain = _best_regions_2d(G, H, C, min_leaf)
+    coords, g, h = grid_rows(cells, shape)
+    got, gain = _best_regions_2d_rows(coords, shape, g, h, min_leaf)
     want, want_gain = reference_regions_2d(G, H, C, min_leaf)
     assert [(r.start, r.stop, c.start, c.stop) for r, c in got] == want
     assert gain == want_gain
+
+
+@settings(max_examples=200)
+@given(GRID, st.integers(1, 5), st.integers(0, 3))
+def test_regions_2d_accept_wider_first_level_tables(grid, min_leaf, pad):
+    """``detect_pairs`` passes first-level tables padded to the widest
+    feature; the padding changes neither the regions nor the gain."""
+    shape, cells = grid
+    coords, g, h = grid_rows(cells, shape)
+    width = max(shape) + pad
+    stacked = np.concatenate((coords[0], coords[1] + width))
+    level1 = [_grid_sums(stacked, (2, width), w) for w in (np.tile(g, 2), np.tile(h, 2), None)]
+    assert _best_regions_2d_rows(coords, shape, g, h, min_leaf, level1) == (
+        _best_regions_2d_rows(coords, shape, g, h, min_leaf)
+    )

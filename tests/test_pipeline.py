@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -217,6 +219,31 @@ def test_run_full_lock_names_its_pid(tmp_path):
     with pytest.raises(DataError, match=r"locked by .*\(pid 4242\)"):
         run_full({"dataset": {"preset": "additive", "n_train": 200, "n_test": 100}}, out)
     assert (out / ".lock").read_text() == "4242\n"
+
+
+def test_run_full_names_a_stale_lock(tmp_path):
+    # the pid of a child that has exited and been reaped is no live process
+    child = subprocess.Popen([sys.executable, "-c", "pass"])
+    child.wait()
+    out = tmp_path / "run"
+    out.mkdir()
+    lock = out / ".lock"
+    lock.write_text(f"{child.pid}\n")
+    with pytest.raises(DataError) as info:
+        run_full({"dataset": {"preset": "additive", "n_train": 200, "n_test": 100}}, out)
+    message = str(info.value)
+    assert f"(pid {child.pid}): the lock is stale" in message
+    assert f"remove {lock}" in message
+    # never taken over
+    assert lock.read_text() == f"{child.pid}\n"
+
+
+def test_run_full_live_lock_is_not_called_stale(tmp_path):
+    out = tmp_path / "run"
+    out.mkdir()
+    (out / ".lock").write_text(f"{os.getpid()}\n")
+    with pytest.raises(DataError, match=rf"\(pid {os.getpid()}\)$"):
+        run_full({"dataset": {"preset": "additive", "n_train": 200, "n_test": 100}}, out)
 
 
 def test_run_full_writes_its_pid_into_the_lock(tmp_path, monkeypatch):
