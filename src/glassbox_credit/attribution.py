@@ -84,18 +84,21 @@ def _leaf_paths(tree: Tree):
     """(leaf value, [(feature, threshold, goes left?, cover ratio), ...]) per
     leaf, root to leaf. Whether an instance follows a split is decided later."""
     paths = []
+    # Python scalars: numpy scalar arithmetic is several times slower here
+    names = ("feature", "threshold", "left", "right", "value", "cover")
+    feature, threshold, left, right, value, cover = (getattr(tree, f).tolist() for f in names)
 
     def rec(node, acc):
-        f = tree.feature[node]
+        f = feature[node]
         if f == _LEAF:
-            paths.append((tree.value[node], list(acc)))
+            paths.append((value[node], list(acc)))
             return
-        l, r = tree.left[node], tree.right[node]
-        total = tree.cover[l] + tree.cover[r]
-        acc.append((f, tree.threshold[node], True, tree.cover[l] / total))
+        l, r = left[node], right[node]
+        total = cover[l] + cover[r]
+        acc.append((f, threshold[node], True, cover[l] / total))
         rec(l, acc)
         acc.pop()
-        acc.append((f, tree.threshold[node], False, tree.cover[r] / total))
+        acc.append((f, threshold[node], False, cover[r] / total))
         rec(r, acc)
         acc.pop()
 
@@ -249,15 +252,16 @@ def _tree_phi(t: _LeafSlots, X: np.ndarray, d: int) -> np.ndarray:
     return np.bincount(bins, weights=phi.T.reshape(-1), minlength=n * d).reshape(n, d)
 
 
-# Slot form per tree, built on the tree's first attribution and kept while the
-# tree lives (never at fit or load, never persisted). It assumes trees are not
-# edited after fit or load, which no code does: an edited tree keeps its slots.
+# (mean value, slot form) per tree, built on the tree's first attribution and
+# kept while the tree lives (never at fit or load, never persisted). It assumes
+# trees are not edited after fit or load, which no code does: an edited tree
+# keeps its entry.
 _SLOTS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def _tree_slots(tree: Tree) -> _LeafSlots | None:
+def _tree_cache(tree: Tree) -> tuple[float, _LeafSlots | None]:
     if tree not in _SLOTS:
-        _SLOTS[tree] = _leaf_slots(tree)
+        _SLOTS[tree] = (tree.mean_value(), _leaf_slots(tree))
     return _SLOTS[tree]
 
 
@@ -267,7 +271,7 @@ def _shap_chunks(model: GbdtModel, X):
     values raise DataError."""
     d = model.d
     X = check_matrix(X, d)
-    trees = [t for t in map(_tree_slots, model.trees) if t is not None]
+    trees = [t for _, t in map(_tree_cache, model.trees) if t is not None]
     cost = max((max(t.zero.size, t.split_feature.size) for t in trees), default=1)
     step = max(1, CHUNK_ENTRIES // cost)
     for lo in range(0, X.shape[0], step):
@@ -292,7 +296,7 @@ def _base_value(model: GbdtModel) -> float:
     """E[f(x)] under the tree covers: the attribution base value."""
     base = model.base_score
     for tree in model.trees:
-        base += model.eta * tree.mean_value()
+        base += model.eta * _tree_cache(tree)[0]
     return float(base)
 
 

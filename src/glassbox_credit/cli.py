@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import stat
 import sys
 
 import numpy as np
@@ -18,11 +20,9 @@ from .attribution import tree_shap
 from .data import (
     PrepConfig,
     cache_dataset,
-    encode_target,
-    engineer_fico,
-    ingest_csv,
     load_cached_dataset,
     prepare,
+    read_raw_csv,
 )
 from .ebm import EbmModel, export_shape
 from .errors import ConvergenceError, DataError, ModelFormatError
@@ -54,8 +54,14 @@ def _read_ranking(path) -> RankedFeatures:
 
 
 def _write(path, text):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    """Write an output file through a temporary file and a rename, so a failed
+    write leaves any old file whole; a path that is not a regular file, such
+    as the /dev/stdout link, cannot be renamed over and is written in place."""
+    if not os.path.lexists(path) or stat.S_ISREG(os.lstat(path).st_mode):
+        persist.write_atomic(path, text)
+    else:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
 
 
 def _int_list(text: str) -> list[int]:
@@ -76,10 +82,7 @@ def _warn_pltr_size(kind: str, d: int) -> None:
 
 def cmd_prepare(args) -> int:
     config = PrepConfig.from_json_file(args.config)
-    table = ingest_csv(args.input, config)
-    table = encode_target(table, config)
-    table = engineer_fico(table)
-    train, test, stats = prepare(table, config, return_stats=True)
+    train, test, stats = prepare(read_raw_csv(args.input, config), config, return_stats=True)
     cache_dataset(train, args.out_train, args.out_train + ".manifest.json", stats)
     cache_dataset(test, args.out_test, args.out_test + ".manifest.json", stats)
     print(f"train rows {train.n}, test rows {test.n}, {train.d} encoded columns")

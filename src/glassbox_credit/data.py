@@ -14,7 +14,7 @@ import json
 import math
 import warnings
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from datetime import date, datetime
 
 import numpy as np
@@ -66,16 +66,7 @@ class PrepConfig:
         )
 
     def as_dict(self) -> dict:
-        return {
-            "target": self.target,
-            "positive_label": self.positive_label,
-            "negative_label": self.negative_label,
-            "date_column": self.date_column,
-            "split_cutoff": self.split_cutoff,
-            "categorical": list(self.categorical),
-            "imputation": self.imputation,
-            "engineer_fico": self.engineer_fico,
-        }
+        return asdict(self)
 
 
 def parse_date(text: str) -> date | None:
@@ -279,6 +270,13 @@ def engineer_fico(table: RawTable) -> RawTable:
     names.append(FICO_MERGED)
     columns[FICO_MERGED] = ("numeric", merged)
     return RawTable(names, columns)
+
+
+def read_raw_csv(path, config: PrepConfig) -> RawTable:
+    """A raw CSV as ``prepare`` takes it: ingested, the target encoded, and
+    the FICO bounds averaged when ``config.engineer_fico`` is set."""
+    table = encode_target(ingest_csv(path, config), config)
+    return engineer_fico(table) if config.engineer_fico else table
 
 
 def prepare(table: RawTable, config: PrepConfig, return_stats: bool = False):

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -58,18 +58,7 @@ class EbmConfig:
     min_samples_leaf: int = 4
 
     def as_dict(self) -> dict:
-        return {
-            "rounds": self.rounds,
-            "learning_rate": self.learning_rate,
-            "max_leaves": self.max_leaves,
-            "n_pairs": self.n_pairs,
-            "pair_rounds": self.pair_rounds,
-            "tol": self.tol,
-            "early_stopping": self.early_stopping,
-            "validation_stride": self.validation_stride,
-            "patience": self.patience,
-            "min_samples_leaf": self.min_samples_leaf,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, obj: dict) -> "EbmConfig":

@@ -16,11 +16,14 @@ own rows gives; so the cumulative sums, and every gain, are the same bits.
 Ties between candidate splits break to the lowest feature index, then the
 lowest threshold: each feature's first argmax over its cuts in ascending
 order, then the first feature whose gain beats every earlier feature's.
+
+A tree is one numpy array per node field (``TREE_FIELDS``), nodes numbered
+in preorder, so both children of a split come after it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -50,73 +53,75 @@ class GbdtConfig:
             raise DataError("regularization must be non-negative")
 
     def as_dict(self) -> dict:
-        return {
-            "rounds": self.rounds,
-            "eta": self.eta,
-            "max_depth": self.max_depth,
-            "reg_lambda": self.reg_lambda,
-            "reg_gamma": self.reg_gamma,
-            "min_child_cover": self.min_child_cover,
-        }
+        return asdict(self)
+
+
+# The node arrays of a tree: (name, dtype, value of a new node). Code that
+# handles every field (construction, add_node, persist's codec and load
+# checks) loops over this table; persist writes the fields in this order.
+TREE_FIELDS = (
+    ("feature", np.intp, _LEAF),
+    ("threshold", np.float64, 0.0),
+    ("left", np.intp, _LEAF),
+    ("right", np.intp, _LEAF),
+    ("value", np.float64, 0.0),
+    ("cover", np.float64, 0.0),
+    ("gain", np.float64, 0.0),
+)
 
 
 class Tree:
-    """Flat-array regression tree. ``feature[i] == -1`` marks a leaf; then
-    ``value[i]`` is the (unshrunk) leaf weight. ``cover`` is the summed
-    hessian mass that reached each node at build time."""
+    """Regression tree as node arrays, one per ``TREE_FIELDS`` entry.
+    ``feature[i] == -1`` marks a leaf with (unshrunk) weight ``value[i]``;
+    a split sends a row to ``left[i]`` iff ``x[feature[i]] < threshold[i]``,
+    else to ``right[i]``. ``cover`` is the hessian mass that reached each
+    node at build time. Nodes are in preorder, so both children of a split
+    lie after it: ``mean_value`` relies on that, and loading checks it."""
 
-    def __init__(self):
-        self.feature: list[int] = []
-        self.threshold: list[float] = []
-        self.left: list[int] = []
-        self.right: list[int] = []
-        self.value: list[float] = []
-        self.cover: list[float] = []
-        self.gain: list[float] = []
+    def __init__(self, nodes=None):
+        """A tree from a mapping of field name to node values, each copied
+        into an array of the field's dtype; with none, an empty tree."""
+        for name, dtype, _ in TREE_FIELDS:
+            setattr(self, name, np.array(() if nodes is None else nodes[name], dtype))
 
     def add_node(self) -> int:
-        for arr, zero in (
-            (self.feature, _LEAF),
-            (self.threshold, 0.0),
-            (self.left, _LEAF),
-            (self.right, _LEAF),
-            (self.value, 0.0),
-            (self.cover, 0.0),
-            (self.gain, 0.0),
-        ):
-            arr.append(zero)
-        return len(self.feature) - 1
+        n = self.n_nodes
+        for name, dtype, blank in TREE_FIELDS:
+            grown = np.empty(n + 1, dtype)
+            grown[:n] = getattr(self, name)
+            grown[n] = blank
+            setattr(self, name, grown)
+        return n
 
     @property
     def n_nodes(self) -> int:
         return len(self.feature)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        """Vectorized routing: left iff x[feature] < threshold."""
-        n = X.shape[0]
-        out = np.empty(n)
-        stack = [(0, np.arange(n))]
-        while stack:
-            node, idx = stack.pop()
-            if self.feature[node] == _LEAF:
-                out[idx] = self.value[node]
-                continue
-            go_left = X[idx, self.feature[node]] < self.threshold[node]
-            stack.append((self.left[node], idx[go_left]))
-            stack.append((self.right[node], idx[~go_left]))
-        return out
+        """Leaf value per row of X. Every row descends one level per step;
+        a row at a leaf stays there, as if the leaf were its own child."""
+        leaf = self.feature == _LEAF
+        # child[node + n_nodes * go_left], and a leaf compares on column 0
+        child = np.where(leaf, np.arange(self.n_nodes), [self.right, self.left]).ravel()
+        feature = np.where(leaf, 0, self.feature)
+        first = np.arange(X.shape[0]) * X.shape[1]  # flat position of each row's column 0
+        node = np.zeros(X.shape[0], dtype=np.intp)
+        while not leaf[node].all():
+            go_left = X.take(first + feature[node]) < self.threshold[node]
+            node = child[node + self.n_nodes * go_left]
+        return self.value[node]
 
     def mean_value(self) -> float:
-        """Cover-weighted expectation of the tree with no features known."""
-
-        def rec(node):
-            if self.feature[node] == _LEAF:
-                return self.value[node]
-            l, r = self.left[node], self.right[node]
-            cl, cr = self.cover[l], self.cover[r]
-            return (cl * rec(l) + cr * rec(r)) / (cl + cr)
-
-        return rec(0)
+        """Cover-weighted expectation of the tree with no features known:
+        ``(cl * m_l + cr * m_r) / (cl + cr)`` at each split, children first."""
+        # Python floats: numpy scalar arithmetic is several times slower here
+        feature, left, right = self.feature.tolist(), self.left.tolist(), self.right.tolist()
+        cover, mean = self.cover.tolist(), self.value.tolist()
+        for node in reversed(range(len(feature))):
+            if feature[node] != _LEAF:
+                cl, cr = cover[left[node]], cover[right[node]]
+                mean[node] = (cl * mean[left[node]] + cr * mean[right[node]]) / (cl + cr)
+        return mean[0]
 
 
 @dataclass
@@ -231,10 +236,10 @@ def _child_rows(rows, keep, size):
     return child
 
 
-def _grow_node(tree: Tree, g, h, xt, cfg: GbdtConfig, idx, rows, depth) -> int:
-    """Grow the subtree of the rows ``idx`` (ascending). ``rows`` holds them
-    presorted by each column of ``xt`` (X transposed), or is None where the
-    node cannot split."""
+def _grow_node(tree: Tree, g, h, xt, cfg: GbdtConfig, idx, rows, depth, step) -> int:
+    """Grow the subtree of the rows ``idx`` (ascending); ``step[i]`` gets the
+    weight of the leaf row i reaches. ``rows`` holds them presorted by each
+    column of ``xt`` (X transposed), or is None where the node cannot split."""
     # a module-level function, not a closure: a self-referencing closure is a
     # reference cycle that keeps the round's arrays alive until a GC pass
     node = tree.add_node()
@@ -242,7 +247,7 @@ def _grow_node(tree: Tree, g, h, xt, cfg: GbdtConfig, idx, rows, depth) -> int:
     tree.cover[node] = float(H)
     found = None if rows is None else _best_split(g, h, G, H, rows, xt, cfg)
     if found is None:
-        tree.value[node] = float(-G / (H + cfg.reg_lambda))
+        tree.value[node] = step[idx] = float(-G / (H + cfg.reg_lambda))
         return node
     gain, f, thr = found
     tree.feature[node] = f
@@ -257,7 +262,7 @@ def _grow_node(tree: Tree, g, h, xt, cfg: GbdtConfig, idx, rows, depth) -> int:
         child = None
         if depth + 1 < cfg.max_depth and size > 1:
             child = _child_rows(rows, keep, size)
-        children.append(_grow_node(tree, g, h, xt, cfg, idx[keep[idx]], child, depth + 1))
+        children.append(_grow_node(tree, g, h, xt, cfg, idx[keep[idx]], child, depth + 1, step))
     tree.left[node], tree.right[node] = children
     return node
 
@@ -281,9 +286,10 @@ def fit_gbdt(data: Dataset, config: GbdtConfig) -> GbdtModel:
         g = w * (p - y)
         h = w * p * (1.0 - p)
         tree = Tree()
-        _grow_node(tree, g, h, xt, config, idx, rows if config.max_depth > 0 else None, 0)
+        step = np.empty(data.n)
+        _grow_node(tree, g, h, xt, config, idx, rows if config.max_depth > 0 else None, 0, step)
         trees.append(tree)
-        margin += config.eta * tree.predict(X)
+        margin += config.eta * step
     return GbdtModel(
         trees=trees,
         base_score=base_score,
@@ -301,17 +307,10 @@ def importance_native(model: GbdtModel, kind: str) -> dict[str, float]:
     counts. Features never used score 0."""
     if kind not in ("gain", "cover", "frequency"):
         raise DataError(f"unknown importance kind {kind!r}")
-    scores = dict.fromkeys(model.feature_names, 0.0)
+    scores = np.zeros(model.d)
     for tree in model.trees:
-        for node in range(tree.n_nodes):
-            f = tree.feature[node]
-            if f == _LEAF:
-                continue
-            name = model.feature_names[f]
-            if kind == "gain":
-                scores[name] += tree.gain[node]
-            elif kind == "cover":
-                scores[name] += tree.cover[node]
-            else:
-                scores[name] += 1.0
-    return scores
+        split = tree.feature != _LEAF
+        weight = 1.0 if kind == "frequency" else getattr(tree, kind)[split]
+        # unbuffered and in node order: the same sums as adding node by node
+        np.add.at(scores, tree.feature[split], weight)
+    return dict(zip(model.feature_names, scores.tolist()))

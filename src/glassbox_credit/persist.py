@@ -18,7 +18,7 @@ import numpy as np
 from . import __version__
 from .errors import ModelFormatError
 from .ebm import EbmModel, PairTerm
-from .gbdt import _LEAF, GbdtModel, Tree
+from .gbdt import _LEAF, TREE_FIELDS, GbdtModel, Tree
 from .linear import LinearModel
 from .pltr import PairSplitSpec, PltrModel, StumpSpec
 
@@ -27,6 +27,12 @@ FORMAT_VERSION = 1
 
 def _floats(arr) -> list[float]:
     return [float(v) for v in np.asarray(arr, dtype=float).ravel()]
+
+
+def _require_finite(what: str, values) -> None:
+    """Python's json reads NaN, Infinity and 1e999; no model holds them."""
+    if not np.isfinite(np.asarray(values, dtype=float)).all():
+        raise ModelFormatError(f"{what} must be finite")
 
 
 def _lr_payload(model: LinearModel) -> dict:
@@ -49,6 +55,7 @@ def _lr_restore(body: dict) -> LinearModel:
     for key in ("means", "stds"):
         if body[key] is not None:
             scaling[key] = np.array(body[key], dtype=float)
+            _require_finite(f"lr {key}", scaling[key])
             if scaling[key].shape != coef.shape:
                 raise ModelFormatError(
                     f"lr {key} has {scaling[key].size} entries for {coef.size} coefficients"
@@ -66,19 +73,6 @@ def _lr_restore(body: dict) -> LinearModel:
 
 
 def _gbdt_payload(model: GbdtModel) -> dict:
-    trees = []
-    for t in model.trees:
-        trees.append(
-            {
-                "feature": [int(v) for v in t.feature],
-                "threshold": _floats(t.threshold),
-                "left": [int(v) for v in t.left],
-                "right": [int(v) for v in t.right],
-                "value": _floats(t.value),
-                "cover": _floats(t.cover),
-                "gain": _floats(t.gain),
-            }
-        )
     return {
         "base_score": model.base_score,
         "eta": model.eta,
@@ -86,42 +80,47 @@ def _gbdt_payload(model: GbdtModel) -> dict:
         "reg_gamma": model.reg_gamma,
         "max_depth": model.max_depth,
         "feature_names": list(model.feature_names),
-        "trees": trees,
+        "trees": [
+            {name: getattr(t, name).tolist() for name, _, _ in TREE_FIELDS} for t in model.trees
+        ],
         "config": dict(model.config),
     }
 
 
-def _check_tree(t: Tree, d: int) -> None:
-    """Reject a tree that predict would index out of range or loop in.
-    Trees are stored in preorder, so both children of an internal node lie
-    after it; requiring that rules out cycles."""
-    n = t.n_nodes
-    columns = (t.threshold, t.left, t.right, t.value, t.cover, t.gain)
-    if n == 0 or any(len(a) != n for a in columns):
+def _check_trees(trees: list[Tree], d: int) -> None:
+    """Reject trees that predict would index out of range or loop in, or
+    that hold a non-finite number. Trees are stored in preorder, so both
+    children of an internal node lie after it; requiring that rules out
+    cycles. The nodes of all trees are checked at once."""
+    sizes = [t.n_nodes for t in trees]
+    shapes = [(n,) for n in sizes]
+    if 0 in sizes or any([getattr(t, f).shape for t in trees] != shapes for f, *_ in TREE_FIELDS):
         raise ModelFormatError("tree node arrays are empty or of unequal length")
-    for node, f in enumerate(t.feature):
-        if f == _LEAF:
-            continue
-        if not 0 <= f < d:
-            raise ModelFormatError(f"tree node {node} splits on feature {f}, outside [0, {d})")
-        if not (node < t.left[node] < n and node < t.right[node] < n):
-            raise ModelFormatError(f"tree node {node} has children outside ({node}, {n})")
+    if not trees:
+        return
+    feature, left, right = (
+        np.concatenate([getattr(t, f) for t in trees]) for f in ("feature", "left", "right")
+    )
+    of = np.repeat(np.arange(len(trees)), sizes)  # tree of each node
+    n = np.repeat(sizes, sizes)
+    i = np.arange(len(of)) - np.repeat(np.cumsum(sizes) - sizes, sizes)  # index in its tree
+    bad = (feature < _LEAF) | (feature >= d)
+    if bad.any():
+        k = bad.argmax()
+        raise ModelFormatError(f"tree {of[k]} node {i[k]} splits on {feature[k]}, outside [0, {d})")
+    bad = (feature != _LEAF) & ((np.minimum(left, right) <= i) | (np.maximum(left, right) >= n))
+    if bad.any():
+        k = bad.argmax()
+        raise ModelFormatError(f"tree {of[k]} node {i[k]} has children outside ({i[k]}, {n[k]})")
+    floats = [f for f, dtype, _ in TREE_FIELDS if dtype is np.float64]
+    values = np.concatenate([getattr(t, f) for f in floats for t in trees])
+    _require_finite(f"tree {', '.join(floats)}", values)
 
 
 def _gbdt_restore(body: dict) -> GbdtModel:
-    d = len(body["feature_names"])
-    trees = []
-    for tb in body["trees"]:
-        t = Tree()
-        t.feature = [int(v) for v in tb["feature"]]
-        t.threshold = [float(v) for v in tb["threshold"]]
-        t.left = [int(v) for v in tb["left"]]
-        t.right = [int(v) for v in tb["right"]]
-        t.value = [float(v) for v in tb["value"]]
-        t.cover = [float(v) for v in tb["cover"]]
-        t.gain = [float(v) for v in tb["gain"]]
-        _check_tree(t, d)
-        trees.append(t)
+    _require_finite("gbdt base_score and eta", [body["base_score"], body["eta"]])
+    trees = [Tree(nodes) for nodes in body["trees"]]
+    _check_trees(trees, len(body["feature_names"]))
     return GbdtModel(
         trees=trees,
         base_score=body["base_score"],
@@ -158,9 +157,13 @@ def _ebm_restore(body: dict) -> EbmModel:
     d = len(body["feature_names"])
     if not len(cuts) == len(shapes) == len(counts) == d:
         raise ModelFormatError("ebm needs one cut list, shape and count list per feature")
+    numbers = np.concatenate([[body["intercept"]], *cuts, *shapes])
+    _require_finite("ebm intercept, cuts and shapes", numbers)
     for j in range(d):
         if not len(shapes[j]) == len(cuts[j]) + 1 == len(counts[j]):
             raise ModelFormatError(f"ebm feature {j}: shape and counts need len(cuts) + 1 bins")
+        if not (cuts[j][1:] > cuts[j][:-1]).all():
+            raise ModelFormatError(f"ebm feature {j}: cuts must be strictly increasing")
     pairs = []
     for p in body["pairs"]:
         j, q = (int(v) for v in p["pair"])
@@ -169,7 +172,9 @@ def _ebm_restore(body: dict) -> EbmModel:
         shape = (len(cuts[j]) + 1, len(cuts[q]) + 1)
         if [int(v) for v in p["shape"]] != list(shape):
             raise ModelFormatError(f"ebm pair ({j}, {q}) grid shape is not {list(shape)}")
-        pairs.append(PairTerm(pair=(j, q), grid=np.array(p["grid"], dtype=float).reshape(shape)))
+        grid = np.array(p["grid"], dtype=float).reshape(shape)
+        _require_finite(f"ebm pair ({j}, {q}) grid", grid)
+        pairs.append(PairTerm(pair=(j, q), grid=grid))
     return EbmModel(
         intercept=body["intercept"],
         bin_cuts=cuts,
@@ -219,6 +224,9 @@ def _pltr_restore(body: dict) -> PltrModel:
     for f in features:
         if not (isinstance(f, int) and 0 <= f < d):
             raise ModelFormatError(f"pltr rule splits on feature {f!r}, outside [0, {d})")
+    numbers = [v for s in model.stumps for v in (s.threshold, s.gain)]
+    numbers += [v for p in model.pair_splits for v in (p.root_threshold, p.second_threshold)]
+    _require_finite("pltr rule thresholds and gains", numbers)
     width = (d if model.include_original else 0) + len(model.stumps) + len(model.pair_splits)
     if len(model.linear.coef) != width:
         raise ModelFormatError(
@@ -299,7 +307,7 @@ def from_envelope(env: dict):
         raise ModelFormatError("missing payload")
     try:
         return _CODECS[kind][2](payload)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ModelFormatError(f"malformed {kind} payload: {exc}") from exc
 
 

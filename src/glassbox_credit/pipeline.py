@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -23,10 +23,8 @@ from .data import (
     Dataset,
     PrepConfig,
     apply_class_weights,
-    encode_target,
-    engineer_fico,
-    ingest_csv,
     prepare,
+    read_raw_csv,
     zscore,
 )
 from .ebm import EbmConfig, EbmModel, detect_pairs, fit_ebm, fit_pairs, importance_ebm
@@ -60,13 +58,7 @@ class RefinementConfig:
             raise DataError(f"unsupported correlation kind {self.kind!r}")
 
     def as_dict(self) -> dict:
-        return {
-            "pool": self.pool,
-            "target": self.target,
-            "protected": self.protected,
-            "threshold": self.threshold,
-            "kind": self.kind,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -411,10 +403,7 @@ def _load_experiment_datasets(spec: dict):
     if not os.path.exists(spec["train_csv"]):
         raise DataError(f"missing dataset path {spec['train_csv']}")
     config = PrepConfig.from_json_file(spec["prep_config"])
-    table = ingest_csv(spec["train_csv"], config)
-    table = encode_target(table, config)
-    table = engineer_fico(table)
-    return prepare(table, config)
+    return prepare(read_raw_csv(spec["train_csv"], config), config)
 
 
 def _stage(n: int, name: str):

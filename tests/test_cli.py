@@ -1,5 +1,6 @@
 import csv
 import json
+import os
 import subprocess
 import sys
 
@@ -104,6 +105,48 @@ def test_evaluate_damaged_model_exits_2(artifacts, capsys):
     damaged.write_text(json.dumps(env))
     assert run_cli("evaluate", "--model", damaged, "--data", artifacts["test"]) == 2
     assert "children outside" in capsys.readouterr().err
+
+
+def test_evaluate_non_finite_model_exits_2(artifacts, capsys):
+    env = json.loads(artifacts["model"].read_text())
+    env["payload"]["trees"][0]["threshold"][0] = float("nan")  # json writes a NaN literal
+    damaged = artifacts["root"] / "damaged_nan.json"
+    damaged.write_text(json.dumps(env))
+    capsys.readouterr()
+    assert run_cli("evaluate", "--model", damaged, "--data", artifacts["test"]) == 2
+    assert "must be finite" in capsys.readouterr().err
+
+
+def _fail_replace(src, dst):
+    raise OSError("disk full")
+
+
+def test_failed_out_write_keeps_old_file(artifacts, tmp_path, monkeypatch, capsys):
+    out = tmp_path / "eval.json"
+    out.write_text("old\n")
+    evaluate = ("evaluate", "--model", artifacts["ebm"], "--data", artifacts["test"], "--out", out)
+    monkeypatch.setattr(os, "replace", _fail_replace)
+    assert run_cli(*evaluate) == 2
+    assert out.read_text() == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["eval.json"]
+    monkeypatch.undo()
+    assert run_cli(*evaluate) == 0
+    capsys.readouterr()
+    assert 0.5 < json.loads(out.read_text())["auroc"] <= 1.0
+
+
+def test_out_to_dev_stdout(artifacts):
+    proc = subprocess.run(
+        [sys.executable, "-m", "glassbox_credit.cli", "evaluate", "--model", str(artifacts["ebm"]),
+         "--data", str(artifacts["test"]), "--out", "/dev/stdout"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    # the report once through --out, then once printed
+    half = len(proc.stdout) // 2
+    assert proc.stdout == 2 * proc.stdout[:half]
+    assert 0.5 < json.loads(proc.stdout[:half])["auroc"] <= 1.0
 
 
 def test_evaluate_damaged_pltr_exits_2(artifacts, capsys):

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from glassbox_credit.data import (
     load_cached_dataset,
     parse_date,
     prepare,
+    read_raw_csv,
     standardize,
 )
 from glassbox_credit.errors import DataError
@@ -103,6 +105,45 @@ def test_engineer_fico_absent_warns(tmp_path):
     with pytest.warns(UserWarning):
         out = engineer_fico(table)
     assert out.names == table.names
+
+
+@pytest.mark.parametrize("site", ["cli prepare", "run_full dataset"])
+def test_engineer_fico_false_keeps_both_columns(tmp_path, capsys, site):
+    from glassbox_credit.cli import main
+    from glassbox_credit.pipeline import _load_experiment_datasets
+
+    raw, cfg = write_csv(tmp_path, RAW), tmp_path / "prep.json"
+    cfg.write_text(json.dumps(make_config(engineer_fico=False).as_dict()))
+    if site == "cli prepare":
+        assert main(["prepare", "--input", str(raw), "--config", str(cfg),
+                     "--out-train", str(tmp_path / "train.csv"),
+                     "--out-test", str(tmp_path / "test.csv")]) == 0
+        capsys.readouterr()
+        names = load_cached_dataset(tmp_path / "train.csv").feature_names
+    else:
+        spec = {"train_csv": str(raw), "prep_config": str(cfg)}
+        names = _load_experiment_datasets(spec)[0].feature_names
+    assert {"fico_range_high", "fico_range_low"} <= set(names)
+
+
+def test_synth_csv_reads_without_warnings(tmp_path):
+    from glassbox_credit import synth
+
+    raw, cfg = tmp_path / "raw.csv", tmp_path / "prep.json"
+    synth.write_csv("redundant", raw, cfg, n_train=200, n_test=100, seed=3)
+    config = PrepConfig.from_json_file(cfg)
+    assert not config.engineer_fico
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        table = read_raw_csv(raw, config)
+    assert table.kind(config.target) == "numeric"
+
+
+def test_read_raw_csv_merges_fico_by_default(tmp_path):
+    table = read_raw_csv(write_csv(tmp_path, RAW), make_config())
+    assert "fico_range_low" not in table.names
+    assert table.values("fico_range_high")[0] == 690.0
+    assert table.values("loan_status").tolist() == [0.0, 1.0, 0.0, 1.0, 0.0]
 
 
 def prepared(tmp_path):

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,8 @@ from hypothesis import strategies as st
 from glassbox_credit.data import Dataset
 from glassbox_credit.ebm import (
     EbmConfig,
+    EbmModel,
+    _pair_index,
     _best_regions_2d_rows,
     _best_segments_1d,
     _grid_sums,
@@ -329,3 +333,56 @@ def test_regions_2d_accept_wider_first_level_tables(grid, min_leaf, pad):
     assert _best_regions_2d_rows(coords, shape, g, h, min_leaf, level1) == (
         _best_regions_2d_rows(coords, shape, g, h, min_leaf)
     )
+
+
+@st.composite
+def binned_values(draw):
+    """Two features' strictly increasing cuts (possibly none) and values on
+    the cuts, on their float neighbours and in between."""
+    cuts, values = [], []
+    for _ in range(2):
+        c = sorted(draw(st.lists(st.floats(-100.0, 100.0), unique=True, max_size=6)))
+        near = [v for t in c for v in (np.nextafter(t, -np.inf), t, np.nextafter(t, np.inf))]
+        pick = st.floats(-200.0, 200.0)
+        if c:
+            pick = st.one_of(st.sampled_from(near), pick)
+        cuts.append(np.array(c, dtype=float))
+        values.append(draw(st.lists(pick, min_size=1, max_size=20)))
+    n = min(map(len, values))
+    X = np.column_stack([np.array(v[:n]) for v in values])
+    model = EbmModel(
+        intercept=0.0,
+        bin_cuts=cuts,
+        shapes=[np.arange(len(c) + 1.0) for c in cuts],
+        bin_counts=[np.ones(len(c) + 1, dtype=int) for c in cuts],
+        pairs=[],
+        feature_names=["a", "b"],
+    )
+    return model, X
+
+
+@pytest.fixture(scope="module")
+def shape_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("shapes")
+
+
+@settings(max_examples=300)
+@given(binned_values())
+def test_bin_edges_agree_everywhere(shape_dir, case):
+    """bin_index sends x == cut right, the pair index is the two bin indices,
+    and each exported shape row [bin_low, bin_high) holds exactly the values
+    bin_index maps to it."""
+    model, X = case
+    B = np.column_stack([model.bin_index(j, X[:, j]) for j in range(2)])
+    for j, cuts in enumerate(model.bin_cuts):
+        assert model.bin_index(j, cuts).tolist() == list(range(1, len(cuts) + 1))
+        assert np.array_equal(B[:, j], [np.sum(cuts <= v) for v in X[:, j]])
+    flat, shape = _pair_index(B, model, 0, 1)
+    assert np.array_equal(np.column_stack(np.unravel_index(flat, shape)), B)
+    for j in range(2):
+        path = shape_dir / "shape.csv"
+        export_shape(model, j, path)
+        with open(path, newline="") as fh:
+            rows = [(float(lo), float(hi)) for lo, hi, _, _ in list(csv.reader(fh))[1:]]
+        for v, b in zip(X[:, j], B[:, j]):
+            assert [i for i, (lo, hi) in enumerate(rows) if lo <= v < hi] == [b]

@@ -280,3 +280,75 @@ def test_presorted_scan_matches_per_node_reference(case):
     with mock.patch.object(gbdt, "_SCAN_CELLS", scan_cells):
         got = persist.dumps(fit_gbdt(data, config))
     assert got == persist.dumps(reference_fit(data, config))
+
+
+# Reference routing and expectation: the per-node stack walk and the
+# recursion that the level-by-level routing and the reverse-preorder pass
+# replaced, kept as oracles that must agree bit for bit.
+def reference_predict(tree, X):
+    out = np.empty(X.shape[0])
+    stack = [(0, np.arange(X.shape[0]))]
+    while stack:
+        node, idx = stack.pop()
+        if tree.feature[node] == -1:
+            out[idx] = tree.value[node]
+            continue
+        go_left = X[idx, tree.feature[node]] < tree.threshold[node]
+        stack.append((tree.left[node], idx[go_left]))
+        stack.append((tree.right[node], idx[~go_left]))
+    return out
+
+
+def reference_mean_value(tree, node=0):
+    if tree.feature[node] == -1:
+        return float(tree.value[node])
+    left, right = tree.left[node], tree.right[node]
+    cl, cr = float(tree.cover[left]), float(tree.cover[right])
+    return (cl * reference_mean_value(tree, left) + cr * reference_mean_value(tree, right)) / (
+        cl + cr
+    )
+
+
+THRESHOLDS = [-1.0, 0.0, 0.5, 2.0]
+# every threshold, a neighbour on each side, and values beyond them all
+ROW_VALUES = sorted(
+    {v for t in THRESHOLDS for v in (np.nextafter(t, -np.inf), t, np.nextafter(t, np.inf))}
+    | {-3.0, 3.0}
+)
+
+
+@st.composite
+def hand_built_trees(draw):
+    """A preorder tree of depth up to 6 on up to 4 features (a feature may
+    repeat on a path), and rows on, just below and just above its
+    thresholds."""
+    d = draw(st.integers(1, 4))
+    max_depth = draw(st.integers(0, 6))
+    tree = Tree()
+
+    def grow(depth):
+        node = tree.add_node()
+        if depth < max_depth and draw(st.integers(0, 3)) < 3:
+            tree.feature[node] = draw(st.integers(0, d - 1))
+            tree.threshold[node] = draw(st.sampled_from(THRESHOLDS))
+            left, right = grow(depth + 1), grow(depth + 1)
+            tree.left[node], tree.right[node] = left, right
+            tree.cover[node] = tree.cover[left] + tree.cover[right]
+        else:
+            tree.value[node] = draw(st.floats(-2.0, 2.0))
+            tree.cover[node] = draw(st.floats(0.1, 10.0))
+        return node
+
+    grow(0)
+    n = draw(st.integers(0, 30))
+    cells = draw(st.lists(st.sampled_from(ROW_VALUES), min_size=n * d, max_size=n * d))
+    return tree, np.array(cells).reshape(n, d)
+
+
+@settings(max_examples=300)
+@given(hand_built_trees())
+def test_level_routing_matches_stack_walk(case):
+    tree, X = case
+    assert tree.predict(X).tobytes() == reference_predict(tree, X).tobytes()
+    mean, expected = np.float64(tree.mean_value()), np.float64(reference_mean_value(tree))
+    assert mean.tobytes() == expected.tobytes()

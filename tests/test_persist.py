@@ -179,6 +179,10 @@ def _first_split(tree):
     return next(i for i, f in enumerate(tree["feature"]) if f >= 0)
 
 
+def _first_leaf(tree):
+    return next(i for i, f in enumerate(tree["feature"]) if f < 0)
+
+
 def _child_back_to_root(tree):
     node = max(i for i, f in enumerate(tree["feature"]) if f >= 0)
     tree["left"][node] = 0  # an ancestor: predict would route rows in a cycle
@@ -192,6 +196,12 @@ GBDT_DAMAGE = {
     "negative feature": lambda t: t["feature"].__setitem__(_first_split(t), -2),
     "unequal node arrays": lambda t: t["value"].pop(),
     "no nodes": lambda t: [t[k].clear() for k in list(t)],
+    "NaN threshold": lambda t: t["threshold"].__setitem__(_first_split(t), float("nan")),
+    "infinite leaf value": lambda t: t["value"].__setitem__(_first_leaf(t), float("inf")),
+    "null cover": lambda t: t["cover"].__setitem__(0, None),
+    "infinite gain": lambda t: t["gain"].__setitem__(_first_split(t), float("-inf")),
+    "leaf child overflows": lambda t: t["right"].__setitem__(_first_leaf(t), 2**70),
+    "nested node list": lambda t: t.update({k: [[v] for v in t[k]] for k in t}),
 }
 
 
@@ -211,6 +221,11 @@ EBM_DAMAGE = {
     "pair not ordered": lambda p: p["pairs"][0].__setitem__("pair", [2, 0]),
     "grid shape off": lambda p: p["pairs"][0]["shape"].__setitem__(0, 1),
     "grid too short": lambda p: p["pairs"][0]["grid"].pop(),
+    "NaN shape value": lambda p: p["shapes"][0].__setitem__(1, float("nan")),
+    "NaN cut": lambda p: p["bin_cuts"][2].__setitem__(0, float("nan")),
+    "cuts not increasing": lambda p: p["bin_cuts"][1].__setitem__(1, p["bin_cuts"][1][0]),
+    "infinite grid cell": lambda p: p["pairs"][0]["grid"].__setitem__(3, float("inf")),
+    "infinite intercept": lambda p: p.__setitem__("intercept", float("inf")),
 }
 
 
@@ -236,6 +251,10 @@ PLTR_DAMAGE = {
     "coefficient missing": _drop_last_coefficient,
     "rule without coefficient": lambda p: p["stumps"].append(dict(p["stumps"][0])),
     "original columns dropped": lambda p: p.__setitem__("include_original", False),
+    "NaN stump threshold": lambda p: p["stumps"][0].__setitem__("threshold", float("nan")),
+    "infinite pair threshold": lambda p: p["pair_splits"][1].__setitem__(
+        "second_threshold", float("-inf")
+    ),
 }
 
 
@@ -253,6 +272,8 @@ LR_DAMAGE = {
     "means cut short": lambda p: p.update(means=[0.0, 0.0], stds=[1.0] * 4),
     "stds too long": lambda p: p.update(means=[0.0] * 4, stds=[1.0] * 5),
     "means without stds": lambda p: p.update(means=[0.0] * 4, stds=None),
+    "NaN mean": lambda p: p.update(means=[0.0, float("nan"), 0.0, 0.0], stds=[1.0] * 4),
+    "infinite std": lambda p: p.update(means=[0.0] * 4, stds=[1.0, 1.0, float("inf"), 1.0]),
 }
 
 
