@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, check_matrix
+from .data import Dataset, check_matrix, write_atomic
 from .errors import DataError
 from .gbdt import _LEAF, GbdtModel, Tree
 from .ranking import RankedFeatures, rank_from_scores
@@ -337,7 +337,7 @@ def attributions_csv(model: GbdtModel, data: Dataset, path):
     """Per-instance attribution export: row id, base value, then one phi per
     feature."""
     base = repr(_base_value(model))
-    with open(path, "w", encoding="utf-8") as fh:
+    with write_atomic(path) as fh:
         fh.write("row,base_value," + ",".join(model.feature_names) + "\n")
         for rows, phi in _shap_chunks(model, data.X):
             for i, row in zip(range(data.n)[rows], phi):

@@ -9,8 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
-import stat
 import sys
 
 import numpy as np
@@ -23,6 +21,7 @@ from .data import (
     load_cached_dataset,
     prepare,
     read_raw_csv,
+    write_atomic,
 )
 from .ebm import EbmModel, export_shape
 from .errors import ConvergenceError, DataError, ModelFormatError
@@ -54,14 +53,8 @@ def _read_ranking(path) -> RankedFeatures:
 
 
 def _write(path, text):
-    """Write an output file through a temporary file and a rename, so a failed
-    write leaves any old file whole; a path that is not a regular file, such
-    as the /dev/stdout link, cannot be renamed over and is written in place."""
-    if not os.path.lexists(path) or stat.S_ISREG(os.lstat(path).st_mode):
-        persist.write_atomic(path, text)
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    with write_atomic(path) as fh:
+        fh.write(text)
 
 
 def _int_list(text: str) -> list[int]:

@@ -9,9 +9,13 @@ train/test on a date cutoff.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import math
+import os
+import secrets
+import stat
 import warnings
 from collections import Counter
 from dataclasses import asdict, dataclass, field
@@ -415,9 +419,35 @@ def zscore(X, means, stds) -> np.ndarray:
     return Z
 
 
+@contextlib.contextmanager
+def write_atomic(path):
+    """Open ``path`` for writing text so that it is replaced only once the
+    ``with`` block completes. The block writes, as a stream, to a temporary
+    file in the same directory, which ``os.replace`` then moves over
+    ``path``; a block that fails midway leaves any old file at ``path`` as
+    it was and no partial or temporary file behind. A path that exists but
+    is not a regular file, such as the /dev/stdout link, cannot be renamed
+    over and is written in place. Newlines are written as given."""
+    path = os.fspath(path)
+    if os.path.lexists(path) and not stat.S_ISREG(os.lstat(path).st_mode):
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            yield fh
+        return
+    directory, name = os.path.split(path)
+    tmp = os.path.join(directory, f".{name}.{os.getpid()}.{secrets.token_hex(4)}.tmp")
+    try:
+        with open(tmp, "x", encoding="utf-8", newline="") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
+
+
 def cache_dataset(data: Dataset, csv_path, manifest_path, stats=None):
     """Write a prepared Dataset as CSV plus a sidecar JSON manifest."""
-    with open(csv_path, "w", encoding="utf-8", newline="") as fh:
+    with write_atomic(csv_path) as fh:
         writer = csv.writer(fh)
         writer.writerow(self_cols := (CACHE_COLUMNS + data.feature_names))
         for i in range(data.n):
@@ -432,7 +462,7 @@ def cache_dataset(data: Dataset, csv_path, manifest_path, stats=None):
     }
     if stats:
         manifest.update(stats)
-    with open(manifest_path, "w", encoding="utf-8") as fh:
+    with write_atomic(manifest_path) as fh:
         json.dump(manifest, fh, sort_keys=True, indent=2)
 
 

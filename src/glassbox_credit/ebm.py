@@ -30,7 +30,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .data import Dataset, check_matrix
+from .data import Dataset, check_matrix, write_atomic
 from .errors import DataError
 from .linear import sigmoid
 from .metrics import log_loss
@@ -493,7 +493,7 @@ def export_shape(model: EbmModel, j: int, path):
     cuts = model.bin_cuts[j]
     lows = np.concatenate([[-np.inf], cuts])
     highs = np.concatenate([cuts, [np.inf]])
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with write_atomic(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(["bin_low", "bin_high", "score", "train_count"])
         for lo, hi, s, c in zip(lows, highs, model.shapes[j], model.bin_counts[j]):
@@ -520,7 +520,7 @@ def export_pair_grid(model: EbmModel, pair: tuple[int, int], path):
     else:
         raise DataError(f"unknown pair {pair}")
     j, q = term.pair
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with write_atomic(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(
             [f"{model.feature_names[j]}\\{model.feature_names[q]}"]

@@ -4,9 +4,17 @@ regression.
 The unpenalized fit is full-batch Newton with backtracking line search and a
 tiny ridge (1e-6) for separable-data stability. The adaptive lasso is the
 classic two-stage estimator: an initial unpenalized fit supplies per-feature
-penalty weights 1/|beta_j|^gamma, then cyclic coordinate descent with
+penalty weights 1/|beta_j|^gamma, then coordinate descent with
 soft-thresholding solves the reweighted L1 problem on successive quadratic
-approximations.
+approximations (proximal Newton).
+
+Each quadratic model is held in covariance form (glmnet's "covariance
+updates", Friedman, Hastie & Tibshirani 2010): X^T diag(h) X is formed once
+per outer iteration, so a coordinate step costs O(d), not O(n). Sweeps visit
+the nonzero slopes and then only the zero slopes that violate the KKT
+condition, found with one vectorized test. The outer step is damped by
+halving until the penalized objective does not increase, which keeps warm
+starts far from the optimum (small samples) from oscillating.
 """
 
 from __future__ import annotations
@@ -143,45 +151,69 @@ def adaptive_weights(initial_coef, gamma: float = 1.0) -> np.ndarray:
     return 1.0 / mags**gamma
 
 
+def _penalized_objective(z, y, w, beta, lam, pen_w, ridge):
+    """Weighted-mean NLL at margins ``z`` plus the ridge and the weighted L1
+    penalty on the slopes: what each outer step must not increase."""
+    nll = (w * (np.logaddexp(0.0, z) - y * z)).sum() / w.sum()
+    return nll + ridge * float(beta @ beta) + lam * float(pen_w @ np.abs(beta))
+
+
 def _cd_penalized(X, y, w, lam, pen_w, beta0, beta, ridge=RIDGE, max_outer=200):
-    """Proximal-Newton outer loop with cyclic coordinate descent on the local
+    """Proximal-Newton outer loop with coordinate descent on the local
     quadratic model of the weighted loss. Intercept is unpenalized.
 
-    The quadratic model is kept in gradient/hessian form (never forming the
-    per-sample working response), so near-saturated probabilities cannot blow
-    up the inner iterates.
+    The model is kept in covariance form: per outer iteration
+    ``Q = X^T diag(h) X``, ``c = X^T h`` and the gradient ``X^T g`` are
+    formed once, and the model's gradient at the inner iterate is carried
+    as a length-d vector that a coordinate step of ``delta`` updates by
+    ``Q[j] * delta``. The outer step is halved until the penalized
+    objective does not increase.
     """
-    n, d = X.shape
     W = w.sum()
+    thresholds = lam * pen_w
+    z = beta0 + X @ beta
+    objective = _penalized_objective(z, y, w, beta, lam, pen_w, ridge)
     for outer in range(max_outer):
-        z = beta0 + X @ beta
         p = sigmoid(z)
         g = w * (p - y) / W
         h = w * p * (1 - p) / W
-        col_h = (X * X * h[:, None]).sum(axis=0) + 2.0 * ridge
+        Xs = X * np.sqrt(h)[:, None]
+        Q = Xs.T @ Xs
+        c = X.T @ h
         h_sum = h.sum()
-        g_sum = g.sum()
-        # e tracks X (beta - beta_outer) + (beta0 - beta0_outer)
-        e = np.zeros(n)
+        diag = Q.diagonal() + 2.0 * ridge
+        # gradient of the quadratic model at (new0, new), ridge term excluded
+        grad = X.T @ g
+        grad0 = g.sum()
+        new0, new = beta0, beta.copy()
         max_delta_outer = 0.0
 
-        def sweep(cols):
+        def coordinate(j):
+            nonlocal grad, grad0
+            bj = new[j]
+            rho = diag[j] * bj - (grad[j] + 2.0 * ridge * bj)
+            new[j] = soft_threshold(rho, thresholds[j]) / diag[j]
+            delta = new[j] - bj
+            if delta != 0.0:
+                grad += Q[j] * delta
+                grad0 += c[j] * delta
+            return abs(delta)
+
+        def sweep():
+            """One pass over the nonzero slopes, then over the zero slopes
+            that violate KKT (a zero slope that satisfies it would not
+            move), then the intercept."""
+            nonlocal new0, grad, grad0
             max_delta = 0.0
-            nonlocal beta0, e
-            for j in cols:
-                xj = X[:, j]
-                smooth_grad = xj @ (g + h * e) + 2.0 * ridge * beta[j]
-                rho = col_h[j] * beta[j] - smooth_grad
-                new = soft_threshold(rho, lam * pen_w[j]) / col_h[j]
-                delta = new - beta[j]
-                if delta != 0.0:
-                    e += xj * delta
-                    beta[j] = new
-                    max_delta = max(max_delta, abs(delta))
-            db0 = -(g_sum + h @ e) / h_sum
+            for j in np.flatnonzero(new):
+                max_delta = max(max_delta, coordinate(j))
+            for j in np.flatnonzero((new == 0.0) & (np.abs(grad) > thresholds)):
+                max_delta = max(max_delta, coordinate(j))
+            db0 = -grad0 / h_sum
             if db0 != 0.0:
-                beta0 += db0
-                e += db0
+                new0 += db0
+                grad += c * db0
+                grad0 += h_sum * db0
                 max_delta = max(max_delta, abs(db0))
             return max_delta
 
@@ -191,51 +223,47 @@ def _cd_penalized(X, y, w, lam, pen_w, beta0, beta, ridge=RIDGE, max_outer=200):
             active columns are strongly correlated; solving the small
             fixed-sign system directly sidesteps that. Coefficients whose
             step would cross zero are clipped to zero and dropped."""
-            nonlocal beta0, e
+            nonlocal new0, grad, grad0
             for _ in range(50):
-                active = np.flatnonzero(beta)
+                active = np.flatnonzero(new)
                 if active.size == 0:
                     return
-                M = X[:, active]
-                s = np.sign(beta[active])
                 m = active.size
-                Mh = M * h[:, None]
                 K = np.empty((m + 1, m + 1))
                 K[0, 0] = h_sum
-                K[0, 1:] = K[1:, 0] = h @ M
-                K[1:, 1:] = M.T @ Mh
+                K[0, 1:] = K[1:, 0] = c[active]
+                K[1:, 1:] = Q[np.ix_(active, active)]
                 K[1:, 1:][np.diag_indices(m)] += 2.0 * ridge
                 rhs = np.empty(m + 1)
-                rhs[0] = -(g_sum + h @ e)
+                rhs[0] = -grad0
                 rhs[1:] = -(
-                    M.T @ (g + h * e)
-                    + 2.0 * ridge * beta[active]
-                    + lam * pen_w[active] * s
+                    grad[active]
+                    + 2.0 * ridge * new[active]
+                    + thresholds[active] * np.sign(new[active])
                 )
                 try:
                     step = np.linalg.solve(K, rhs)
                 except np.linalg.LinAlgError:
                     return
                 # clip the step at the first zero crossing, if any
-                frac = 1.0
-                hit = -1
-                for i in range(m):
-                    if step[i + 1] != 0.0:
-                        t = -beta[active[i]] / step[i + 1]
-                        if 0.0 < t < frac:
-                            frac, hit = t, i
-                beta0 += frac * step[0]
-                beta[active] += frac * step[1:]
-                e += frac * (step[0] + M @ step[1:])
-                if hit >= 0:
-                    beta[active[hit]] = 0.0
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    crossing = -new[active] / step[1:]
+                crossing[~((crossing > 0.0) & (crossing < 1.0))] = np.inf
+                hit = int(np.argmin(crossing))
+                frac = min(float(crossing[hit]), 1.0)
+                new0 += frac * step[0]
+                new[active] += frac * step[1:]
+                grad += frac * (Q[:, active] @ step[1:] + c * step[0])
+                grad0 += frac * (c[active] @ step[1:] + h_sum * step[0])
+                if frac < 1.0:
+                    new[active[hit]] = 0.0
                     continue
                 return
 
         # full passes handle active-set changes; the exact solve finishes
         # the fixed-sign subproblem between them
         for _ in range(200):
-            max_delta = sweep(range(d))
+            max_delta = sweep()
             max_delta_outer = max(max_delta_outer, max_delta)
             if max_delta < CD_TOL:
                 break
@@ -243,7 +271,22 @@ def _cd_penalized(X, y, w, lam, pen_w, beta0, beta, ridge=RIDGE, max_outer=200):
         else:
             raise ConvergenceError("coordinate descent stalled", iterations=outer)
         if max_delta_outer < CD_TOL:
-            return beta0, beta, outer
+            return new0, new, outer
+        # Far from the optimum (a warm start at the unpenalized fit of a
+        # small sample) the full step can overshoot and oscillate; halve it
+        # until the objective does not rise beyond rounding.
+        step0, step = new0 - beta0, new - beta
+        t = 1.0
+        for _ in range(60):
+            new_z = new0 + X @ new
+            new_objective = _penalized_objective(new_z, y, w, new, lam, pen_w, ridge)
+            if new_objective <= objective + 1e-12 * abs(objective):
+                break
+            t *= 0.5
+            new0, new = beta0 + t * step0, beta + t * step
+        else:
+            raise ConvergenceError("penalized line search failed", iterations=outer)
+        beta0, beta, z, objective = new0, new, new_z, new_objective
     raise ConvergenceError("penalized fit did not converge", iterations=max_outer)
 
 
@@ -267,13 +310,16 @@ def fit_adaptive_lasso(
     """Two-stage adaptive lasso. ``lam`` may be a number or ``"auto"``, in
     which case a 50-point logarithmic grid below lambda_max is scored by
     validation log-loss (a deterministic 1-in-4 stride split of the training
-    rows when no validation set is given)."""
+    rows when no validation set is given). The path is kept in
+    ``diagnostics["path"]``: each grid point's ``lambda``, ``val_log_loss``
+    and ``nonzero`` count, and the ``chosen`` index."""
     X, y, w = data.X, data.y, data.w
     if y.min() == y.max():
         raise DataError("adaptive lasso needs both classes present")
     initial = fit_logistic(data)
     pen_w = adaptive_weights(initial.coef, gamma)
 
+    path = None
     if lam == "auto":
         if validation is None:
             idx = np.arange(data.n)
@@ -286,17 +332,21 @@ def fit_adaptive_lasso(
         grid = np.geomspace(lmax, lmax * 1e-4, n_grid) if lmax > 0 else [0.0]
         from .metrics import log_loss
 
-        best = (np.inf, 0.0)
+        path = {"lambda": [], "val_log_loss": [], "nonzero": [], "chosen": 0}
+        best = np.inf
         beta0w, betaw = float(initial.intercept), initial.coef.copy()
-        for lam_k in grid:
+        for k, lam_k in enumerate(grid):
             beta0w, betaw, _ = _cd_penalized(
                 fit_part.X, fit_part.y, fit_part.w, float(lam_k), pen_w, beta0w, betaw.copy()
             )
             probs = sigmoid(beta0w + val_part.X @ betaw)
-            score = log_loss(probs, val_part.y, val_part.w)
-            if score < best[0] - 1e-12:
-                best = (score, float(lam_k))
-        lam = best[1]
+            score = float(log_loss(probs, val_part.y, val_part.w))
+            if score < best - 1e-12:
+                best, path["chosen"] = score, k
+            path["lambda"].append(float(lam_k))
+            path["val_log_loss"].append(score)
+            path["nonzero"].append(int(np.count_nonzero(betaw)))
+        lam = path["lambda"][path["chosen"]]
 
     lam = float(lam)
     if lam < 0:
@@ -304,14 +354,17 @@ def fit_adaptive_lasso(
     beta0, beta, outer = _cd_penalized(
         X, y, w, lam, pen_w, float(initial.intercept), initial.coef.copy()
     )
+    diagnostics = {
+        "lambda": lam,
+        "gamma": gamma,
+        "outer_iterations": outer,
+        "nonzero": int(np.sum(beta != 0.0)),
+    }
+    if path is not None:
+        diagnostics["path"] = path
     return LinearModel(
         intercept=float(beta0),
         coef=beta,
         feature_names=list(data.feature_names),
-        diagnostics={
-            "lambda": lam,
-            "gamma": gamma,
-            "outer_iterations": outer,
-            "nonzero": int(np.sum(beta != 0.0)),
-        },
+        diagnostics=diagnostics,
     )

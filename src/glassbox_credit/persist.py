@@ -8,14 +8,12 @@ config echo, optional hash of the training manifest).
 
 from __future__ import annotations
 
-import contextlib
 import json
-import os
-import secrets
 
 import numpy as np
 
 from . import __version__
+from .data import write_atomic
 from .errors import ModelFormatError
 from .ebm import EbmModel, PairTerm
 from .gbdt import _LEAF, TREE_FIELDS, GbdtModel, Tree
@@ -272,25 +270,9 @@ def dumps(model, train_manifest_hash: str | None = None) -> str:
     return json.dumps(envelope(model, train_manifest_hash), indent=2) + "\n"
 
 
-def write_atomic(path, text: str) -> None:
-    """Write ``text`` to ``path`` through a temporary file in the same
-    directory and ``os.replace``: a write that fails midway leaves any old
-    file at ``path`` as it was and no partial or temporary file behind."""
-    path = os.fspath(path)
-    directory, name = os.path.split(path)
-    tmp = os.path.join(directory, f".{name}.{os.getpid()}.{secrets.token_hex(4)}.tmp")
-    try:
-        with open(tmp, "x", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.unlink(tmp)
-        raise
-
-
 def save_model(model, path, train_manifest_hash: str | None = None) -> None:
-    write_atomic(path, dumps(model, train_manifest_hash))
+    with write_atomic(path) as fh:
+        fh.write(dumps(model, train_manifest_hash))
 
 
 def from_envelope(env: dict):

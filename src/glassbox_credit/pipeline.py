@@ -25,6 +25,7 @@ from .data import (
     apply_class_weights,
     prepare,
     read_raw_csv,
+    write_atomic,
     zscore,
 )
 from .ebm import EbmConfig, EbmModel, detect_pairs, fit_ebm, fit_pairs, importance_ebm
@@ -470,8 +471,8 @@ def run_full(config: dict | str, out_dir) -> ExperimentReport:
     artifacts = {}
 
     def emit(name: str, text: str):
-        persist.write_atomic(os.path.join(out_dir, name), text)
-        # write_atomic writes exactly the text's UTF-8 bytes
+        with write_atomic(os.path.join(out_dir, name)) as fh:
+            fh.write(text)  # exactly the text's UTF-8 bytes
         artifacts[name] = hashlib.sha256(text.encode("utf-8")).hexdigest()
 
     try:
@@ -551,10 +552,8 @@ def run_full(config: dict | str, out_dir) -> ExperimentReport:
                 ).hexdigest(),
                 "artifacts": dict(sorted(artifacts.items())),
             }
-            persist.write_atomic(
-                os.path.join(out_dir, "manifest.json"),
-                json.dumps(manifest, indent=2, sort_keys=True) + "\n",
-            )
+            with write_atomic(os.path.join(out_dir, "manifest.json")) as fh:
+                fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     finally:
         os.unlink(lock_path)
     return report

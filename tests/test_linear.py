@@ -1,9 +1,16 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from glassbox_credit import linear
 from glassbox_credit.data import Dataset
-from glassbox_credit.errors import DataError
+from glassbox_credit.errors import ConvergenceError, DataError
 from glassbox_credit.linear import (
+    CD_TOL,
+    RIDGE,
     LinearModel,
     adaptive_weights,
     fit_adaptive_lasso,
@@ -12,6 +19,7 @@ from glassbox_credit.linear import (
     sigmoid,
     soft_threshold,
 )
+from glassbox_credit.pltr import assemble_extended, fit_pltr
 
 
 def bernoulli_data(beta0, beta, n, seed):
@@ -129,3 +137,243 @@ def test_linear_model_validation():
         LinearModel(intercept=0.0, coef=np.array([1.0, 2.0]), feature_names=["x"])
     with pytest.raises(DataError):
         LinearModel(intercept=np.nan, coef=np.array([1.0]), feature_names=["x"])
+
+
+# Largest subgradient violation allowed at a returned lasso solution. The
+# solver stops once no coordinate moves by CD_TOL (1e-7); a coordinate's
+# gradient is then off by at most its curvature (below 1 here) times that.
+KKT_TOL = 1e-6
+
+
+def kkt_violation(X, y, w, lam, pen_w, beta0, beta):
+    """Largest violation of the lasso optimality conditions at (beta0, beta)
+    for the weighted-mean NLL plus ridge: a zero intercept gradient,
+    grad_j = -lam * pen_w_j * sign(beta_j) on the support and
+    |grad_j| <= lam * pen_w_j off it."""
+    r = w * (sigmoid(beta0 + X @ beta) - y) / w.sum()
+    grad = X.T @ r + 2.0 * RIDGE * beta
+    on = np.abs(grad + lam * pen_w * np.sign(beta))
+    off = np.maximum(np.abs(grad) - lam * pen_w, 0.0)
+    return max(abs(r.sum()), float(np.where(beta != 0.0, on, off).max()))
+
+
+@st.composite
+def lasso_problems(draw):
+    """A few continuous columns and 0/1 threshold indicators of them, as in
+    PLTR's extended matrix, with an exact duplicate of an indicator and a
+    near copy (a few rows flipped) drawn in; weights 1 or 2.5; a penalty
+    from just below lambda_max down to nearly none."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    n = draw(st.integers(150, 400))
+    cont = rng.standard_normal((n, draw(st.integers(1, 3))))
+    src = rng.integers(0, cont.shape[1], draw(st.integers(1, 6)))
+    ind = (cont[:, src] < rng.standard_normal(src.size)).astype(float)
+    cols = [cont, ind]
+    if draw(st.booleans()):
+        cols.append(ind[:, :1])
+    if draw(st.booleans()):
+        near = ind[:, -1:].copy()
+        flip = rng.choice(n, draw(st.integers(1, 4)), replace=False)
+        near[flip] = 1.0 - near[flip]
+        cols.append(near)
+    X = np.hstack(cols)
+    truth = rng.standard_normal(X.shape[1]) * (rng.random(X.shape[1]) < 0.6)
+    y = (rng.random(n) < sigmoid(X @ truth - (X @ truth).mean())).astype(float)
+    y[:2] = [0.0, 1.0]
+    w = rng.choice([1.0, 2.5], n)
+    initial = fit_logistic(Dataset(X, y, w, [f"x{j}" for j in range(X.shape[1])]))
+    pen_w = adaptive_weights(initial.coef)
+    lam = draw(st.sampled_from([0.9, 0.3, 0.05, 1e-3])) * lambda_max(X, y, w, pen_w)
+    # start from the unpenalized fit, as fit_adaptive_lasso does, and from zero
+    starts = [(initial.intercept, initial.coef), (0.0, np.zeros(X.shape[1]))]
+    return X, y, w, lam, pen_w, starts
+
+
+@settings(max_examples=200)
+@given(lasso_problems())
+def test_lasso_solution_meets_kkt(problem):
+    X, y, w, lam, pen_w, starts = problem
+    for beta0, beta in starts:
+        b0, b, _ = linear._cd_penalized(X, y, w, lam, pen_w, beta0, beta.copy())
+        assert kkt_violation(X, y, w, lam, pen_w, b0, b) <= KKT_TOL
+
+
+# Reference solver: the per-sample coordinate descent the covariance form
+# replaced, which carries the residual X (beta - beta_outer) and pays O(n)
+# per coordinate, kept as an oracle for the coefficients. Its stopping
+# tolerance is a parameter here; the code is otherwise unchanged.
+def reference_cd_penalized(X, y, w, lam, pen_w, beta0, beta, ridge=RIDGE, max_outer=200, tol=CD_TOL):
+    """Proximal-Newton outer loop with cyclic coordinate descent on the local
+    quadratic model of the weighted loss. Intercept is unpenalized.
+
+    The quadratic model is kept in gradient/hessian form (never forming the
+    per-sample working response), so near-saturated probabilities cannot blow
+    up the inner iterates.
+    """
+    n, d = X.shape
+    W = w.sum()
+    for outer in range(max_outer):
+        z = beta0 + X @ beta
+        p = sigmoid(z)
+        g = w * (p - y) / W
+        h = w * p * (1 - p) / W
+        col_h = (X * X * h[:, None]).sum(axis=0) + 2.0 * ridge
+        h_sum = h.sum()
+        g_sum = g.sum()
+        # e tracks X (beta - beta_outer) + (beta0 - beta0_outer)
+        e = np.zeros(n)
+        max_delta_outer = 0.0
+
+        def sweep(cols):
+            max_delta = 0.0
+            nonlocal beta0, e
+            for j in cols:
+                xj = X[:, j]
+                smooth_grad = xj @ (g + h * e) + 2.0 * ridge * beta[j]
+                rho = col_h[j] * beta[j] - smooth_grad
+                new = soft_threshold(rho, lam * pen_w[j]) / col_h[j]
+                delta = new - beta[j]
+                if delta != 0.0:
+                    e += xj * delta
+                    beta[j] = new
+                    max_delta = max(max_delta, abs(delta))
+            db0 = -(g_sum + h @ e) / h_sum
+            if db0 != 0.0:
+                beta0 += db0
+                e += db0
+                max_delta = max(max_delta, abs(db0))
+            return max_delta
+
+        def active_newton():
+            """Exact minimization of the quadratic model over the current
+            active set with signs held fixed. Cyclic updates crawl when
+            active columns are strongly correlated; solving the small
+            fixed-sign system directly sidesteps that. Coefficients whose
+            step would cross zero are clipped to zero and dropped."""
+            nonlocal beta0, e
+            for _ in range(50):
+                active = np.flatnonzero(beta)
+                if active.size == 0:
+                    return
+                M = X[:, active]
+                s = np.sign(beta[active])
+                m = active.size
+                Mh = M * h[:, None]
+                K = np.empty((m + 1, m + 1))
+                K[0, 0] = h_sum
+                K[0, 1:] = K[1:, 0] = h @ M
+                K[1:, 1:] = M.T @ Mh
+                K[1:, 1:][np.diag_indices(m)] += 2.0 * ridge
+                rhs = np.empty(m + 1)
+                rhs[0] = -(g_sum + h @ e)
+                rhs[1:] = -(
+                    M.T @ (g + h * e)
+                    + 2.0 * ridge * beta[active]
+                    + lam * pen_w[active] * s
+                )
+                try:
+                    step = np.linalg.solve(K, rhs)
+                except np.linalg.LinAlgError:
+                    return
+                # clip the step at the first zero crossing, if any
+                frac = 1.0
+                hit = -1
+                for i in range(m):
+                    if step[i + 1] != 0.0:
+                        t = -beta[active[i]] / step[i + 1]
+                        if 0.0 < t < frac:
+                            frac, hit = t, i
+                beta0 += frac * step[0]
+                beta[active] += frac * step[1:]
+                e += frac * (step[0] + M @ step[1:])
+                if hit >= 0:
+                    beta[active[hit]] = 0.0
+                    continue
+                return
+
+        # full passes handle active-set changes; the exact solve finishes
+        # the fixed-sign subproblem between them
+        for _ in range(200):
+            max_delta = sweep(range(d))
+            max_delta_outer = max(max_delta_outer, max_delta)
+            if max_delta < tol:
+                break
+            active_newton()
+        else:
+            raise ConvergenceError("coordinate descent stalled", iterations=outer)
+        if max_delta_outer < tol:
+            return beta0, beta, outer
+    raise ConvergenceError("penalized fit did not converge", iterations=max_outer)
+
+
+
+# Both solvers stop once no coordinate moves by the tolerance. Along a
+# direction of small curvature (two indicators whose difference marks a few
+# rows) that leaves the stopping point up to 1e-4 from the optimum at the
+# default 1e-7, for either solver, so the fixed points are compared at 1e-12.
+TIGHT_TOL = 1e-12
+
+
+@settings(max_examples=200)
+@given(lasso_problems())
+def test_covariance_solver_matches_per_sample_reference(problem):
+    X, y, w, lam, pen_w, starts = problem
+    for beta0, beta in starts:
+        try:
+            want0, want, _ = reference_cd_penalized(
+                X, y, w, lam, pen_w, beta0, beta.copy(), tol=TIGHT_TOL
+            )
+        except ConvergenceError:
+            # the reference's undamped outer step can oscillate; the KKT
+            # test covers the new solver on those problems
+            assume(False)
+        with mock.patch.object(linear, "CD_TOL", TIGHT_TOL):
+            got0, got, _ = linear._cd_penalized(X, y, w, lam, pen_w, beta0, beta.copy())
+        assert abs(got0 - want0) <= 1e-6
+        assert np.abs(got - want).max() <= 1e-6
+
+
+# Small samples on which fit_pltr(lam="auto") failed before the outer step
+# was damped: the final fit at the chosen lambda, warm-started from the
+# unpenalized coefficients (|beta| near 13), oscillated ("penalized fit did
+# not converge") or overflowed ("non-finite coefficients").
+# (seed, d, levels, n), drawn as in test_persist's round-trip property test.
+SMALL_SAMPLE_DRAWS = [
+    (1, 4, 3, 120), (2, 2, 8, 120), (4, 4, 8, 120), (5, 4, 8, 120), (6, 2, 8, 149),
+    (6, 4, 8, 106), (7, 4, None, 120), (12, 2, 3, 100), (14, 4, None, 100),
+    (15, 4, 3, 120), (15, 4, 8, 120), (18, 2, 3, 106), (18, 2, 8, 106), (18, 4, 3, 100),
+    (24, 2, 8, 149), (24, 4, None, 149), (28, 2, 8, 100), (32, 4, 8, 106),
+    (36, 4, 8, 106), (37, 4, 8, 120), (39, 2, 3, 149), (39, 2, 8, 149),
+]
+
+
+@pytest.mark.parametrize("seed, d, levels, n", SMALL_SAMPLE_DRAWS)
+def test_auto_lasso_fits_small_samples(seed, d, levels, n):
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, d))
+    if levels is not None:
+        X = np.floor(X * levels / 2)
+    y = (rng.random(n) < 1.0 / (1.0 + np.exp(-X[:, 0]))).astype(float)
+    y[:2] = [0.0, 1.0]
+    w = rng.choice([1.0, 2.5], n)
+    data = Dataset(X, y, w, [f"x{j}" for j in range(d)])
+    model = fit_pltr(data)
+    ext = assemble_extended(data, model.stumps, model.pair_splits)
+    pen_w = adaptive_weights(fit_logistic(ext).coef)
+    lam = model.linear.diagnostics["lambda"]
+    fit = model.linear
+    assert kkt_violation(ext.X, ext.y, ext.w, lam, pen_w, fit.intercept, fit.coef) <= KKT_TOL
+
+
+def test_auto_lasso_records_its_path():
+    data = bernoulli_data(0.3, [1.5, 0.0, -1.0, 0.0], n=1500, seed=5)
+    model = fit_adaptive_lasso(data, lam="auto", n_grid=12)
+    path = model.diagnostics["path"]
+    assert len(path["lambda"]) == len(path["val_log_loss"]) == len(path["nonzero"]) == 12
+    assert path["lambda"] == sorted(path["lambda"], reverse=True)
+    k = path["chosen"]
+    assert model.diagnostics["lambda"] == path["lambda"][k]
+    assert path["val_log_loss"][k] <= min(path["val_log_loss"]) + 1e-12
+    # lambda_max leaves at most the one slope on the KKT boundary
+    assert path["nonzero"][0] <= 1 < path["nonzero"][-1]
+    assert "path" not in fit_adaptive_lasso(data, lam=0.01).diagnostics

@@ -1,14 +1,18 @@
 import json
 import os
+from pathlib import Path
 
+import jsonschema
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from glassbox_credit import data as data_module
 from glassbox_credit import persist
-from glassbox_credit.data import Dataset
-from glassbox_credit.ebm import EbmConfig, fit_ebm, fit_pairs
+from glassbox_credit.attribution import attributions_csv
+from glassbox_credit.data import Dataset, cache_dataset
+from glassbox_credit.ebm import EbmConfig, export_pair_grid, export_shape, fit_ebm, fit_pairs
 from glassbox_credit.errors import DataError, ModelFormatError
 from glassbox_credit.gbdt import GbdtConfig, fit_gbdt
 from glassbox_credit.linear import fit_logistic
@@ -307,3 +311,62 @@ def test_failed_save_leaves_no_partial_or_temp_file(tmp_path, fitted_models, mon
             persist.save_model(models["gbdt"], path)
     assert old.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["old.json"]
+
+
+def _open_failing_midway(limit):
+    """``open`` whose exclusive-create handles raise once more than ``limit``
+    characters have been written: a disk that fills up mid-file."""
+    def fake_open(path, mode="r", *args, **kwargs):
+        fh = open(path, mode, *args, **kwargs)
+        if "x" in mode:
+            write, written = fh.write, [0]
+
+            def write_some(text):
+                written[0] += len(text)
+                if written[0] > limit:
+                    raise OSError("disk full")
+                return write(text)
+
+            fh.write = write_some
+        return fh
+
+    return fake_open
+
+
+# Every site that writes an output file, each streaming through write_atomic.
+WRITERS = {
+    "cache_dataset": lambda data, models, path: cache_dataset(data, path, f"{path}.manifest.json"),
+    "export_shape": lambda data, models, path: export_shape(models["ebm"], 0, path),
+    "export_pair_grid": lambda data, models, path: export_pair_grid(models["ebm"], (0, 2), path),
+    "attributions_csv": lambda data, models, path: attributions_csv(models["gbdt"], data, path),
+    "save_model": lambda data, models, path: persist.save_model(models["pltr"], path),
+}
+
+
+@pytest.mark.parametrize("site", sorted(WRITERS))
+def test_writer_failing_midway_keeps_old_file(tmp_path, fitted_models, monkeypatch, site):
+    data, models = fitted_models
+    old, new = tmp_path / "old.out", tmp_path / "new.out"
+    old.write_text("old\n")
+    monkeypatch.setattr(data_module, "open", _open_failing_midway(100), raising=False)
+    for path in (old, new):
+        with pytest.raises(OSError, match="disk full"):
+            WRITERS[site](data, models, path)
+    assert old.read_text() == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["old.out"]
+    monkeypatch.undo()
+    WRITERS[site](data, models, old)
+    assert len(old.read_text()) > 100
+
+
+def test_pltr_envelope_with_lambda_path_validates_and_round_trips(fitted_models):
+    data, _ = fitted_models
+    model = fit_pltr(data)
+    path = model.linear.diagnostics["path"]
+    assert len(path["lambda"]) == 50 and 0 <= path["chosen"] < 50
+    env = json.loads(persist.dumps(model))
+    schema_path = Path(__file__).resolve().parents[1] / "schemas" / "model-envelope.schema.json"
+    jsonschema.validate(env, json.loads(schema_path.read_text()))
+    clone = persist.from_envelope(env)
+    assert clone.linear.diagnostics == model.linear.diagnostics
+    assert persist.dumps(clone) == persist.dumps(model)
