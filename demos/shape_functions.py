@@ -27,10 +27,11 @@ for name, value in terms:
 print(f"  total margin: {sum(v for _, v in terms):+.4f}")
 
 # the global shape of one feature, as a plottable CSV
-path = os.path.join(tempfile.mkdtemp(), "shape_f00.csv")
-export_shape(model, 0, path)
-print(f"\nshape of {model.feature_names[0]} written to {path}:")
-with open(path) as fh:
-    lines = fh.read().splitlines()
+with tempfile.TemporaryDirectory() as tmp:
+    path = os.path.join(tmp, "shape_f00.csv")
+    export_shape(model, 0, path)
+    print(f"\nshape of {model.feature_names[0]} written to {path}:")
+    with open(path) as fh:
+        lines = fh.read().splitlines()
 for line in lines[:4] + ["..."] + lines[-2:]:
     print(" ", line)

@@ -5,6 +5,13 @@ loan outcomes as the binary target, average the two FICO bound columns,
 one-hot encode configured categoricals (with an explicit column for missing
 values), impute numeric missing values with the train-split mean, and split
 train/test on a date cutoff.
+
+Ingestion converts each column with one ``float`` pass, falling back to
+categorical text, and parses each distinct date string once. A prepared
+Dataset is cached as CSV: every cell is a float ``repr``, written from
+``tolist()`` rows a chunk at a time and read back bit for bit by
+``np.loadtxt``; a file that ``np.loadtxt`` cannot read is rescanned cell by
+cell so that the DataError names the line at fault.
 """
 
 from __future__ import annotations
@@ -32,6 +39,8 @@ FICO_MERGED = "fico_range_high"
 MISSING_CATEGORY = "nan"
 # Leading columns of a cached dataset CSV, before the features.
 CACHE_COLUMNS = ["__label__", "__weight__"]
+# Rows per block that cache_dataset converts to Python floats at a time.
+CACHE_CHUNK_ROWS = 256
 
 
 @dataclass
@@ -197,7 +206,7 @@ def ingest_csv(path, config: PrepConfig) -> RawTable:
                 header = next(reader)
             except StopIteration:
                 raise DataError(f"{path}: empty file") from None
-            rows = [row for row in reader]
+            rows = list(reader)
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     if len(set(header)) != len(header):
@@ -209,36 +218,27 @@ def ingest_csv(path, config: PrepConfig) -> RawTable:
         if len(row) != len(header):
             raise DataError("ragged CSV row")
     columns = {}
-    for ci, name in enumerate(header):
-        raw = [row[ci] for row in rows]
+    # zip(*rows) yields one column at a time; with no rows every column is empty.
+    cells = zip(*rows) if rows else [()] * len(header)
+    for name, raw in zip(header, cells):
         if name == config.date_column:
-            parsed = []
-            for cell in raw:
-                if cell.strip() == "":
-                    parsed.append(None)
-                    continue
-                d = parse_date(cell)
-                if d is None:
+            # Dates repeat (a month per loan): parse each distinct cell once,
+            # in first-seen order so the first bad cell is the one named.
+            dates = {}
+            for cell in dict.fromkeys(raw):
+                dates[cell] = parse_date(cell)
+                if dates[cell] is None and cell.strip():
                     raise DataError(f"unparseable date {cell!r} in column {name!r}")
-                parsed.append(d)
-            columns[name] = ("date", parsed)
+            columns[name] = ("date", [dates[c] for c in raw])
             continue
-        numeric = True
-        for cell in raw:
-            if cell.strip() == "":
-                continue
-            try:
-                float(cell)
-            except ValueError:
-                numeric = False
-                break
-        if numeric and any(cell.strip() != "" for cell in raw):
-            vals = np.array(
-                [float(c) if c.strip() != "" else math.nan for c in raw], dtype=float
-            )
-            columns[name] = ("numeric", vals)
+        try:
+            vals = [float(c) if c.strip() else math.nan for c in raw]
+        except ValueError:
+            vals = None
+        if vals is not None and any(map(str.strip, raw)):
+            columns[name] = ("numeric", np.array(vals, dtype=float))
         else:
-            columns[name] = ("categorical", [c if c.strip() != "" else None for c in raw])
+            columns[name] = ("categorical", [c if c.strip() else None for c in raw])
     return RawTable(header, columns)
 
 
@@ -446,15 +446,18 @@ def write_atomic(path):
 
 
 def cache_dataset(data: Dataset, csv_path, manifest_path, stats=None):
-    """Write a prepared Dataset as CSV plus a sidecar JSON manifest."""
+    """Write a prepared Dataset as CSV plus a sidecar JSON manifest.
+
+    Each cell is the ``repr`` of a Python float, the shortest string that
+    reads back to the same bits, and rows end in ``csv.writer``'s "\\r\\n".
+    A float's repr never needs CSV quoting, so only the header goes through
+    ``csv.writer``; the rows are joined directly, a chunk at a time."""
     with write_atomic(csv_path) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(self_cols := (CACHE_COLUMNS + data.feature_names))
-        for i in range(data.n):
-            writer.writerow(
-                [repr(float(data.y[i])), repr(float(data.w[i]))]
-                + [repr(float(v)) for v in data.X[i]]
-            )
+        csv.writer(fh).writerow(self_cols := (CACHE_COLUMNS + data.feature_names))
+        for start in range(0, data.n, CACHE_CHUNK_ROWS):
+            rows = slice(start, start + CACHE_CHUNK_ROWS)
+            block = np.column_stack([data.y[rows], data.w[rows], data.X[rows]])
+            fh.writelines(",".join(map(repr, row)) + "\r\n" for row in block.tolist())
     manifest = {
         "columns": self_cols,
         "column_types": ["numeric"] * len(self_cols),
@@ -469,29 +472,74 @@ def cache_dataset(data: Dataset, csv_path, manifest_path, stats=None):
 def load_cached_dataset(csv_path) -> Dataset:
     """Read a Dataset written by ``cache_dataset``. DataError when the file
     is empty, has no rows, lacks the leading label and weight columns, or
-    holds a non-numeric cell or a row of another width than the header."""
+    holds a non-numeric cell, a blank line or a row of another width than
+    the header.
+
+    The header is read by ``csv.reader``, so quoted feature names parse; the
+    rows by ``np.loadtxt``, which reads every float ``cache_dataset`` writes
+    to the bits ``float`` gives. Any file ``np.loadtxt`` cannot read is read
+    again cell by cell with ``csv.reader`` and ``float``, which names the
+    line at fault or, for cells only ``float`` accepts (quoted numbers,
+    digit separators), gives the same numbers."""
     with open(csv_path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+        header = _cached_header(csv_path, csv.reader(fh))
         try:
-            header = next(reader, None)
-            if header is None:
-                raise DataError(f"{csv_path}: empty file")
-            if header[:2] != CACHE_COLUMNS:
-                raise DataError(
-                    f"{csv_path}: not a cached dataset: the header must start with "
-                    + ",".join(CACHE_COLUMNS)
-                )
-            rows = [list(map(float, row)) for row in reader]
-        except (ValueError, csv.Error) as exc:
-            raise DataError(f"{csv_path}, line {reader.line_num}: {exc}") from None
+            arr = np.loadtxt(_data_lines(fh), delimiter=",", dtype=float, ndmin=2,
+                             comments=None)
+        except ValueError:
+            arr = None
+        if arr is None or arr.shape[1] != len(header):
+            fh.seek(0)
+            arr = _read_cached_rows(csv_path, fh)
+    return Dataset(
+        X=arr[:, 2:], y=arr[:, 0], w=arr[:, 1], feature_names=header[2:]
+    )
+
+
+def _cached_header(csv_path, reader) -> list[str]:
+    try:
+        header = next(reader, None)
+    except (ValueError, csv.Error) as exc:
+        raise DataError(f"{csv_path}, line {reader.line_num}: {exc}") from None
+    if header is None:
+        raise DataError(f"{csv_path}: empty file")
+    if header[:2] != CACHE_COLUMNS:
+        raise DataError(
+            f"{csv_path}: not a cached dataset: the header must start with "
+            + ",".join(CACHE_COLUMNS)
+        )
+    return header
+
+
+def _data_lines(fh):
+    """The remaining lines of ``fh`` for ``np.loadtxt``. ValueError at a
+    blank line, which ``np.loadtxt`` would skip, and when there is none."""
+    line = None
+    for line in fh:
+        if line.isspace():
+            raise ValueError("blank line")
+        yield line
+    if line is None:
+        raise ValueError("no data rows")
+
+
+def _read_cached_rows(csv_path, fh) -> np.ndarray:
+    """The rows of a cached dataset, parsed cell by cell with ``float``.
+    DataError names the line of the first cell ``float`` rejects or, failing
+    that, of the first row whose width differs from the header's."""
+    reader = csv.reader(fh)
+    header = _cached_header(csv_path, reader)
+    first_row_line = reader.line_num + 1
+    try:
+        rows = [list(map(float, row)) for row in reader]
+    except (ValueError, csv.Error) as exc:
+        raise DataError(f"{csv_path}, line {reader.line_num}: {exc}") from None
     if not rows:
         raise DataError(f"{csv_path}: no data rows")
     for i, row in enumerate(rows):
         if len(row) != len(header):
             raise DataError(
-                f"{csv_path}, line {i + 2}: {len(row)} cells, the header has {len(header)}"
+                f"{csv_path}, line {first_row_line + i}: {len(row)} cells, "
+                f"the header has {len(header)}"
             )
-    arr = np.array(rows, dtype=float)
-    return Dataset(
-        X=arr[:, 2:], y=arr[:, 0], w=arr[:, 1], feature_names=header[2:]
-    )
+    return np.array(rows, dtype=float)

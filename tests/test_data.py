@@ -1,10 +1,17 @@
+import csv
 import json
+import re
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from glassbox_credit import data as data_module
 from glassbox_credit.data import (
+    CACHE_COLUMNS,
     Dataset,
     PrepConfig,
     apply_class_weights,
@@ -40,6 +47,12 @@ def write_csv(tmp_path, text, name="raw.csv"):
     path = tmp_path / name
     path.write_text(text)
     return path
+
+
+@pytest.fixture(scope="module")
+def cache_dir(tmp_path_factory):
+    """One directory for the files property tests rewrite on each example."""
+    return tmp_path_factory.mktemp("cache")
 
 
 RAW = """loan_status,issue_d,amount,grade,fico_range_high,fico_range_low
@@ -79,6 +92,91 @@ def test_ingest_ragged_row_rejected(tmp_path):
 def test_ingest_missing_configured_column(tmp_path):
     with pytest.raises(DataError):
         ingest_csv(write_csv(tmp_path, "x,y\n1,2\n"), make_config())
+
+
+# The column typing the single-pass ingest replaced, kept as an oracle:
+# kinds, NaN placement, float bits and error messages must all agree.
+def reference_ingest(path, config):
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        rows = [row for row in reader]
+    columns = {}
+    for ci, name in enumerate(header):
+        raw = [row[ci] for row in rows]
+        if name == config.date_column:
+            parsed = []
+            for cell in raw:
+                if cell.strip() == "":
+                    parsed.append(None)
+                    continue
+                d = parse_date(cell)
+                if d is None:
+                    raise DataError(f"unparseable date {cell!r} in column {name!r}")
+                parsed.append(d)
+            columns[name] = ("date", parsed)
+            continue
+        numeric = True
+        for cell in raw:
+            if cell.strip() == "":
+                continue
+            try:
+                float(cell)
+            except ValueError:
+                numeric = False
+                break
+        if numeric and any(cell.strip() != "" for cell in raw):
+            vals = np.array([float(c) if c.strip() != "" else np.nan for c in raw], dtype=float)
+            columns[name] = ("numeric", vals)
+        else:
+            columns[name] = ("categorical", [c if c.strip() != "" else None for c in raw])
+    return header, columns
+
+
+# Cells float reads in ways a hand-written parser might not: padding,
+# digit separators, NaN spellings, a non-ASCII digit, signed zero.
+RAW_CELLS = ["", " ", "1", "-0", "1.5", " 1.5 ", "1_000", "nan", "-inf", "1e5", "\u0663",
+             "abc", "A", "Mar-2015"]
+DATE_CELLS = ["", " ", "Mar-2015", "Apr-2015", " 2015-04 ", "2015-05-02", "Foo-2015",
+              "2015-13"]
+
+
+@st.composite
+def raw_tables(draw):
+    n = draw(st.integers(0, 6))
+    width = draw(st.integers(0, 3))
+    rows = []
+    for _ in range(n):
+        cells = draw(st.lists(st.sampled_from(RAW_CELLS), min_size=width, max_size=width))
+        rows.append([draw(st.sampled_from(["Fully Paid", "x"])),
+                     draw(st.sampled_from(DATE_CELLS))] + cells)
+    header = ["loan_status", "issue_d"] + [f"c{j}" for j in range(width)]
+    return header, rows
+
+
+@settings(max_examples=300)
+@given(raw_tables())
+def test_ingest_matches_reference(cache_dir, table):
+    path = cache_dir / "raw.csv"
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows([table[0]] + table[1])
+    config = make_config()
+    try:
+        want = reference_ingest(path, config)
+    except DataError as exc:
+        with pytest.raises(DataError, match=re.escape(str(exc))):
+            ingest_csv(path, config)
+        return
+    got = ingest_csv(path, config)
+    header, columns = want
+    assert got.names == header
+    for name in header:
+        kind, vals = columns[name]
+        assert got.kind(name) == kind
+        if kind == "numeric":
+            assert got.values(name).tobytes() == vals.tobytes()
+        else:
+            assert got.values(name) == vals
 
 
 def test_encode_target_filters_and_recodes(tmp_path):
@@ -276,6 +374,10 @@ def test_cache_round_trip(tmp_path):
 
 
 CACHED_HEADER = "__label__,__weight__,a,b\n"
+CACHED_ROW = "1.0,1.0,0.5,2.0\n"
+# numpy's loadtxt chunk size (numpy.lib._npyio_impl._loadtxt_chunksize); a
+# bad cell past it must still be named at its own line.
+LOADTXT_CHUNK_ROWS = 50_000
 
 
 @pytest.mark.parametrize(
@@ -287,13 +389,173 @@ CACHED_HEADER = "__label__,__weight__,a,b\n"
         (CACHED_HEADER + "1.0,1.0,0.5,2.0\n0.0,1.0,0.5\n", "line 3"),
         ("label,weight,a,b\n1.0,1.0,0.5,2.0\n", "not a cached dataset"),
         ("0.0,1.0,0.5,2.0\n1.0,1.0,0.5,2.0\n", "not a cached dataset"),
+        (CACHED_HEADER + CACHED_ROW + "\n" + CACHED_ROW, "line 3"),
+        (CACHED_HEADER + CACHED_ROW + " \t\n", "line 3"),
+        (CACHED_HEADER + "1.0,1.0,0.5,2.0,\n", "line 2"),
+        (CACHED_HEADER + CACHED_ROW + "#,1.0,0.5,2.0\n", "line 3"),
+        (CACHED_HEADER + "1.0,1.0,0.5,2.0#\n", "line 2"),
+        (CACHED_HEADER + "1.0,1.0,nan,2.0\n", "missing or infinite"),
+        (CACHED_HEADER + CACHED_ROW + "0.0,1.0,0.5,-inf\n", "missing or infinite"),
+        (CACHED_HEADER + CACHED_ROW * (LOADTXT_CHUNK_ROWS + 100) + "1.0,1.0,0.5,abc\n",
+         f"line {LOADTXT_CHUNK_ROWS + 102}:"),
     ],
-    ids=["empty", "header-only", "non-numeric", "ragged", "other-header", "raw-numeric"],
+    ids=["empty", "header-only", "non-numeric", "ragged", "other-header", "raw-numeric",
+         "blank-line", "whitespace-line", "trailing-comma", "hash-cell", "hash-suffix",
+         "nan-cell", "inf-cell", "past-loadtxt-chunk"],
 )
-def test_malformed_cached_csv_rejected(tmp_path, text, message):
+def test_malformed_cached_csv_rejected(tmp_path, text, message, capsys):
+    from glassbox_credit.cli import main
+
     path = write_csv(tmp_path, text, "cached.csv")
     with pytest.raises(DataError, match=message):
         load_cached_dataset(path)
+    code = main(["train", "--train", str(path), "--test", str(path), "--kind", "lr",
+                 "--out-model", str(tmp_path / "model.json")])
+    assert code == 2
+    assert message.split(":")[0] in capsys.readouterr().err
+
+
+def test_cached_csv_cells_only_float_reads_load_as_before(tmp_path):
+    # np.loadtxt refuses quoted cells and digit separators; such files still
+    # load to the numbers float gives. Unicode padding both accept.
+    text = CACHED_HEADER + '"1.0",1.0,1_000,\u20032.5\u2003\r\n0.0,2.0,-0.0," 3"\r\n'
+    data = load_cached_dataset(write_csv(tmp_path, text, "cached.csv"))
+    assert data.y.tolist() == [1.0, 0.0] and data.w.tolist() == [1.0, 2.0]
+    assert data.X.tolist() == [[1000.0, 2.5], [-0.0, 3.0]]
+    assert np.signbit(data.X[1, 0])
+
+
+# The writer and reader the chunked writer and np.loadtxt reader replaced,
+# kept as oracles: files must match byte for byte and loads bit for bit.
+def reference_cache_csv(data, csv_path):
+    with open(csv_path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(CACHE_COLUMNS + data.feature_names)
+        for i in range(data.n):
+            writer.writerow(
+                [repr(float(data.y[i])), repr(float(data.w[i]))]
+                + [repr(float(v)) for v in data.X[i]]
+            )
+
+
+def reference_load_cached(csv_path):
+    with open(csv_path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise DataError(f"{csv_path}: empty file")
+            if header[:2] != CACHE_COLUMNS:
+                raise DataError(f"{csv_path}: not a cached dataset")
+            rows = [list(map(float, row)) for row in reader]
+        except (ValueError, csv.Error) as exc:
+            raise DataError(f"{csv_path}, line {reader.line_num}: {exc}") from None
+    if not rows:
+        raise DataError(f"{csv_path}: no data rows")
+    for i, row in enumerate(rows):
+        if len(row) != len(header):
+            raise DataError(f"{csv_path}, line {i + 2}: ragged")
+    arr = np.array(rows, dtype=float)
+    return Dataset(X=arr[:, 2:], y=arr[:, 0], w=arr[:, 1], feature_names=header[2:])
+
+
+# Values where float repr is awkward: signed zero, subnormals, the largest
+# finite floats, the switches to and from exponent notation (1e16, 1e-4,
+# 1e-5) and their neighbours, and integer-valued floats.
+EDGE_FLOATS = [
+    0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,
+    1e308, -1e308, 1.7976931348623157e308, 1e16, 9999999999999998.0,
+    1.0000000000000002e16, 1e-4, 9.999999999999999e-05, 1e-5, 1.0000000000000001e-05,
+    1.0, -3.0, 123456789.0, 2.0**53, 0.1,
+]
+CELLS = st.one_of(
+    st.sampled_from(EDGE_FLOATS),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(-1e-300, 1e-300),
+    st.integers(-(2**60), 2**60).map(float),
+)
+FEATURE_NAMES = st.lists(
+    st.text(st.sampled_from("ab ,\"'#\né_"), min_size=1, max_size=6),
+    max_size=4, unique=True,
+)
+
+
+@st.composite
+def cached_datasets(draw):
+    names = draw(FEATURE_NAMES)
+    n = draw(st.sampled_from([1, 2, 3, draw(st.integers(1, 9))]))
+    X = np.array(draw(st.lists(CELLS, min_size=n * len(names), max_size=n * len(names))))
+    y = draw(st.lists(st.sampled_from([0.0, -0.0, 1.0]), min_size=n, max_size=n))
+    weights = st.one_of(st.sampled_from([1.0, 5e-324, 1e308, 0.5]),
+                        st.floats(0.0, 1e308, exclude_min=True))
+    w = draw(st.lists(weights, min_size=n, max_size=n))
+    return Dataset(X.reshape(n, len(names)), y, w, names)
+
+
+def same_bits(a: Dataset, b: Dataset) -> bool:
+    return (a.feature_names == b.feature_names and a.X.shape == b.X.shape
+            and all(u.tobytes() == v.tobytes() for u, v in ((a.X, b.X), (a.y, b.y), (a.w, b.w))))
+
+
+@settings(max_examples=300)
+@given(cached_datasets(), st.sampled_from([1, 2, 3, data_module.CACHE_CHUNK_ROWS]))
+def test_cache_matches_reference_bytes_and_bits(cache_dir, data, chunk_rows):
+    got, want = cache_dir / "got.csv", cache_dir / "want.csv"
+    with mock.patch.object(data_module, "CACHE_CHUNK_ROWS", chunk_rows):
+        cache_dataset(data, got, cache_dir / "got.json")
+    reference_cache_csv(data, want)
+    assert got.read_bytes() == want.read_bytes()
+    loaded = load_cached_dataset(got)
+    assert same_bits(loaded, reference_load_cached(want))
+    assert same_bits(loaded, data)
+
+
+def corrupt(text: str, draw) -> str:
+    """``text`` with one line after the header damaged: a blank line
+    inserted, or a cell added, dropped or replaced."""
+    # A newline inside a quoted name is a bare "\n", so the header is lines[0].
+    lines = text.split("\r\n")
+    i = draw(st.integers(1, len(lines) - 1))
+    cells = lines[i].split(",")
+    j = draw(st.integers(0, len(cells) - 1))
+    damage = draw(st.sampled_from(
+        ["blank", "spaces", "comma", "hash", "hash-suffix", "drop", "nan", "inf", "abc",
+         "1_0", "quoted", "padded", "empty"]))
+    if damage in ("blank", "spaces"):
+        lines.insert(i, "" if damage == "blank" else "  ")
+    elif damage == "comma":
+        lines[i] += ","
+    elif damage == "hash-suffix":
+        lines[i] += "#x"
+    elif damage == "drop":
+        lines[i] = ",".join(cells[:j] + cells[j + 1:])
+    else:
+        cells[j] = {"hash": "#", "quoted": f'"{cells[j]}"', "padded": f" {cells[j]} ",
+                    "empty": ""}.get(damage, damage)
+        lines[i] = ",".join(cells)
+    return "\r\n".join(lines)
+
+
+def outcome(read, path):
+    try:
+        return read(path)
+    except DataError:
+        return DataError
+
+
+@settings(max_examples=300)
+@given(cached_datasets(), st.data())
+def test_damaged_cache_loads_as_reference_or_fails(cache_dir, data, draw):
+    clean = cache_dir / "clean.csv"
+    reference_cache_csv(data, clean)
+    text = corrupt(clean.read_bytes().decode("utf-8"), draw.draw)
+    damaged = cache_dir / "damaged.csv"
+    damaged.write_bytes(text.encode("utf-8"))
+    got, want = outcome(load_cached_dataset, damaged), outcome(reference_load_cached, damaged)
+    if want is DataError:
+        assert got is DataError
+    else:
+        assert got is not DataError and same_bits(got, want)
 
 
 def test_prep_config_validation(tmp_path):
