@@ -14,12 +14,16 @@ restores the best cycle. Main effects are boosted first and mean-centred;
 pairs are then boosted on the residuals with the main effects frozen.
 
 A pair grid has up to 256 × 256 cells but sees only as many rows as the
-fit, so almost all of its cells are empty. The depth-2 tree on a grid is
-therefore scored from the rows, not the grid: each candidate cut's left
-sums are 1-D ``np.bincount`` sums of the region's rows along the cut's
-axis (``_best_regions_2d_rows``), O(rows + bins) per search. Pair
-detection scores every pair this way from per-feature sums shared by all
-partners; region values still come from the dense per-cell sums.
+fit, so almost all of its cells are empty. A pair visit therefore works
+from the rows, never the grid: each candidate cut's left sums are 1-D
+``np.bincount`` sums of the region's rows along the cut's axis
+(``_best_regions_2d_rows``), each row's region number comes from a few
+compares of its bin coordinates with the cuts (``_region_numbers``), and
+the leaf sums are bincounts of the rows by region number, so a visit costs
+O(rows + bins), however sparse the grid. Pair detection scores every pair
+this way from per-feature sums shared by all partners. The grids are not
+touched while boosting: each visit's leaf values are logged and written
+into the grids once, for the cycles kept.
 """
 
 from __future__ import annotations
@@ -281,10 +285,44 @@ def _best_regions_2d_rows(coords, shape, g, h, min_leaf=1, level1=None):
     return regions, total_gain
 
 
+def _region_numbers(coords, regions) -> np.ndarray:
+    """Each row's index into ``regions``, the rectangles of a pair grid's
+    depth-2 tree in ``_best_regions_2d_rows``' order.
+
+    ``coords`` holds each row's bin along both axes. In that order (the
+    first half's pieces, then the second's) a row belongs to the last
+    rectangle whose lower corner it is at or past, so each rectangle costs
+    a compare per nonzero start: the level-1 cut and each half's cut.
+    """
+    number = np.zeros(len(coords[0]), dtype=np.intp)
+    for k, region in enumerate(regions[1:], 1):
+        past = True
+        for c, s in zip(coords, region):
+            if s.start:
+                past = past & (c >= s.start)
+        np.putmask(number, past, k)
+    return number
+
+
 def _holdout_mask(n: int, config: EbmConfig) -> np.ndarray:
     if not config.early_stopping or n < 4 * config.validation_stride:
         return np.zeros(n, dtype=bool)
     return np.arange(n) % config.validation_stride == config.validation_stride - 1
+
+
+def _leaf_values(Gs, Hs, lr) -> np.ndarray:
+    """Each region's shrunk Newton step; 0 where its hessian sum is 0."""
+    Gs, Hs = np.asarray(Gs), np.asarray(Hs)
+    return np.where(Hs > 0, -lr * Gs / (Hs + _H_EPS), 0.0)
+
+
+def _write_visits(visits) -> None:
+    """Add each logged visit's leaf values to its term, in visit order,
+    and empty the log."""
+    for term, regions, values in visits:
+        for region, value in zip(regions, values):
+            term[region] += value
+    visits.clear()
 
 
 def _boost_terms(data, index, terms, margins, rounds, config) -> int:
@@ -294,68 +332,78 @@ def _boost_terms(data, index, terms, margins, rounds, config) -> int:
     ``index[t]`` is each row's flat bin index into ``terms[t]`` and
     ``margins`` the rows' starting margins. Each visit fits a tiny tree on
     the term's bins to the second-order residuals of the weighted logistic
-    loss and adds its shrunk leaf values. A shape's cuts come from its
-    per-bin sums; a pair grid's from its rows, whose two bin coordinates
-    are split from the flat index once per fit. Both take each region's
-    value from the dense per-bin sums. Stops on ``tol`` or, when a holdout
-    exists, after ``patience`` cycles without holdout gain; the best
-    cycle's terms are then restored.
+    loss and moves every row's margin by its region's shrunk leaf value. A
+    shape's cuts and leaf sums come from its per-bin sums; a pair grid's
+    from its rows, whose bin coordinates are split from the flat index once
+    per fit, so a pair visit costs O(rows + bins) and allocates nothing of
+    the grid's size.
+
+    The terms are not touched while boosting: each visit's (term, regions,
+    values) is logged, and the log is written into the terms, in visit
+    order, whenever a cycle becomes the best on the holdout (every cycle
+    when there is none). Visits after the best cycle are dropped, so the
+    terms end at the cycle kept without snapshots. A term starting at +0.0
+    gets the same bits from these region adds as from adding a dense delta
+    each visit. Stops on ``tol`` or, when a holdout exists, after
+    ``patience`` cycles without holdout gain.
     """
     val = _holdout_mask(data.n, config)
     fit = ~val
     yf, wf, yv, wv = data.y[fit], data.w[fit], data.y[val], data.w[val]
-    index_f = [ix[fit] for ix in index]
-    index_v = [ix[val] for ix in index]
-    # what each term's cut search needs besides the residuals: the bin
-    # counts of a shape, each row's two bin coordinates in a pair grid
-    layout = [
-        _grid_sums(ix, t.shape) if t.ndim == 1 else divmod(ix, t.shape[1])
-        for ix, t in zip(index_f, terms)
-    ]
+    coords_f = [np.unravel_index(ix[fit], t.shape) for ix, t in zip(index, terms)]
+    coords_v = [np.unravel_index(ix[val], t.shape) for ix, t in zip(index, terms)]
+    # a shape's cut search also needs its bin counts
+    counts = [_grid_sums(c[0], t.shape) if t.ndim == 1 else None for c, t in zip(coords_f, terms)]
     margins_f, margins_v = margins[fit], margins[val]
     lr = config.learning_rate
     prev_loss = log_loss(sigmoid(margins_f), yf, wf)
-    best_val, best_terms, best_cycle = np.inf, None, 0
+    best_val, best_cycle = np.inf, 0
+    pending = []  # visits since the cycle the terms hold
     cycle = 0
     for cycle in range(1, rounds + 1):
         for t, term in enumerate(terms):
             p = sigmoid(margins_f)
             g, h = wf * (p - yf), wf * p * (1.0 - p)
-            G = _grid_sums(index_f[t], term.shape, g)
-            H = _grid_sums(index_f[t], term.shape, h)
             if term.ndim == 1:
+                G = _grid_sums(coords_f[t][0], term.shape, g)
+                H = _grid_sums(coords_f[t][0], term.shape, h)
                 regions = _best_segments_1d(
-                    G, H, config.max_leaves, layout[t], config.min_samples_leaf
+                    G, H, config.max_leaves, counts[t], config.min_samples_leaf
                 )
+                values = _leaf_values(
+                    [G[r].sum() for r in regions], [H[r].sum() for r in regions], lr
+                )
+                # a row's region is its bin's: look its value up per bin
+                step = values.repeat([r.stop - r.start for r in regions])
+                margins_f += step.take(coords_f[t][0])
+                margins_v += step.take(coords_v[t][0])
             else:
                 regions, _ = _best_regions_2d_rows(
-                    layout[t], term.shape, g, h, config.min_samples_leaf
+                    coords_f[t], term.shape, g, h, config.min_samples_leaf
                 )
-            delta = np.zeros(term.shape)
-            for region in regions:
-                Gs, Hs = G[region].sum(), H[region].sum()
-                if Hs > 0:
-                    delta[region] = -lr * Gs / (Hs + _H_EPS)
-            term += delta
-            margins_f += delta.take(index_f[t])
-            if margins_v.size:
-                margins_v += delta.take(index_v[t])
+                number = _region_numbers(coords_f[t], regions)
+                values = _leaf_values(
+                    np.bincount(number, g, len(regions)), np.bincount(number, h, len(regions)), lr
+                )
+                margins_f += values.take(number)
+                margins_v += values.take(_region_numbers(coords_v[t], regions))
+            pending.append((term, regions, values))
         loss = log_loss(sigmoid(margins_f), yf, wf)
-        if margins_v.size:
+        if not margins_v.size:
+            _write_visits(pending)
+        else:
             val_loss = log_loss(sigmoid(margins_v), yv, wv)
             if val_loss < best_val - 1e-7:
-                best_val = val_loss
-                best_terms = [term.copy() for term in terms]
-                best_cycle = cycle
+                best_val, best_cycle = val_loss, cycle
+                _write_visits(pending)
             elif cycle - best_cycle > config.patience:
                 break
         if abs(prev_loss - loss) < config.tol:
             break
         prev_loss = loss
-    if best_terms is None:
+    if not best_cycle:
+        _write_visits(pending)
         return cycle
-    for term, best in zip(terms, best_terms):
-        term[...] = best
     return best_cycle
 
 
@@ -434,7 +482,13 @@ def detect_pairs(data: Dataset, model: EbmModel, m: int) -> list[tuple[int, int]
 
 
 def fit_pairs(data: Dataset, model: EbmModel, pairs, config: EbmConfig | None = None) -> EbmModel:
-    """Boost pair grids round-robin on residuals with main effects frozen."""
+    """Boost pair grids round-robin on residuals with main effects frozen.
+
+    Each grid is allocated once, written once per kept visit and then
+    mean-centred; a visit's sums and margin updates come from the rows
+    (``_boost_terms``), so beyond the grids it returns the fit holds
+    O(rows × pairs) memory.
+    """
     config = config or EbmConfig.from_dict(model.config)
     pairs = [tuple(p) for p in pairs]
     if len(set(pairs)) != len(pairs):

@@ -268,21 +268,30 @@ def sweep_interactions(
     pair_counts,
     config: dict | None = None,
     threshold: float = 0.5,
+    mains: EbmModel | None = None,
 ) -> ExperimentReport:
     """EBM with k features and p pair terms for each p in ``pair_counts``.
 
     The mains model is fitted once; pair terms are detected on it once and
     added in ranked order, so the p = 0 row is exactly the plain reduced
-    model. Reports the maximum relative F1 improvement over p = 0.
+    model. Counts above the k(k-1)/2 pairs that exist fit all of them, and
+    each count is fitted and reported once. ``mains`` may be an EBM already
+    fitted on ``train``'s class-weighted top-k columns (stage 3 of
+    ``run_full``); it is reused when its columns and config, ``cycles_run``
+    aside, are the ones this sweep would fit, and refitted otherwise.
+    Reports the maximum relative F1 improvement over p = 0.
     """
-    pair_counts = sorted(set(int(p) for p in pair_counts))
-    if pair_counts and pair_counts[0] < 0:
+    pair_counts = [int(p) for p in pair_counts]
+    if pair_counts and min(pair_counts) < 0:
         raise DataError("pair counts must be non-negative")
     names = ranked.top(k)
+    available = len(names) * (len(names) - 1) // 2
+    pair_counts = sorted({min(p, available) for p in pair_counts})
     red_train = apply_class_weights(train.select_features(names))
     red_test = test.select_features(names)
     ebm_config = _model_config("ebm", dict(config or {}, n_pairs=0))
-    mains = fit_ebm(red_train, ebm_config)
+    if mains is None or not _same_fit(mains, red_train.feature_names, ebm_config):
+        mains = fit_ebm(red_train, ebm_config)
     max_pairs = max(pair_counts) if pair_counts else 0
     candidates = detect_pairs(red_train, mains, max_pairs) if max_pairs else []
     report = ExperimentReport(
@@ -303,6 +312,12 @@ def sweep_interactions(
     if f1_base is not None:
         report.meta["max_relative_f1_improvement"] = best_improvement
     return report
+
+
+def _same_fit(model: EbmModel, columns, config: EbmConfig) -> bool:
+    """Whether ``model`` is the EBM that ``config`` fits on ``columns``."""
+    fitted = {k: v for k, v in model.config.items() if k != "cycles_run"}
+    return list(model.feature_names) == list(columns) and fitted == config.as_dict()
 
 
 def refine_correlation(
@@ -496,12 +511,14 @@ def run_full(config: dict | str, out_dir) -> ExperimentReport:
 
         with _stage(3, "train reduced models"):
             k = config["k"]
+            reduced = {}
             for kind in config["reduced_kinds"]:
                 model, _ = _fit_scored(
                     train, test, ranked.top(k), kind, model_configs.get(kind),
                     threshold, report,
                 )
                 emit(f"reduced_{kind}_k{k}.json", persist.dumps(model))
+                reduced[kind] = model
 
         if config.get("sweep_ks"):
             with _stage(4, "k sweep"):
@@ -528,6 +545,7 @@ def run_full(config: dict | str, out_dir) -> ExperimentReport:
                     spec.get("pair_counts", list(range(10))),
                     model_configs.get("ebm"),
                     threshold,
+                    mains=reduced.get("ebm"),
                 )
                 emit("sweep_pairs.json", sweep.to_json())
 

@@ -1,4 +1,8 @@
 import csv
+import itertools
+import math
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,10 +13,14 @@ from glassbox_credit.data import Dataset
 from glassbox_credit.ebm import (
     EbmConfig,
     EbmModel,
+    _H_EPS,
+    _boost_terms,
+    _holdout_mask,
     _pair_index,
     _best_regions_2d_rows,
     _best_segments_1d,
     _grid_sums,
+    _region_numbers,
     build_bins,
     detect_pairs,
     export_pair_grid,
@@ -171,8 +179,6 @@ def test_pair_grid_export(tmp_path, xor_small):
 # Reference cut searches, kept as oracles: the scalar implementation the
 # vectorized ``_best_segments_1d`` replaced, and the dense-grid search the
 # row-based ``_best_regions_2d_rows`` replaced.
-_H_EPS = 1e-12
-
 
 def reference_segments_1d(Gb, Hb, max_leaves, counts, min_leaf=1):
     segments = [(0, len(Gb))]
@@ -386,3 +392,158 @@ def test_bin_edges_agree_everywhere(shape_dir, case):
             rows = [(float(lo), float(hi)) for lo, hi, _, _ in list(csv.reader(fh))[1:]]
         for v, b in zip(X[:, j], B[:, j]):
             assert [i for i, (lo, hi) in enumerate(rows) if lo <= v < hi] == [b]
+
+
+@settings(max_examples=300)
+@given(GRID, st.integers(1, 5))
+def test_region_numbers_locate_every_row(grid, min_leaf):
+    """The rectangles partition the grid, and each row's region number
+    names the rectangle that holds its two bin coordinates."""
+    shape, cells = grid
+    coords, g, h = grid_rows(cells, shape)
+    regions, _ = _best_regions_2d_rows(coords, shape, g, h, min_leaf)
+    cover = np.zeros(shape, dtype=int)
+    for region in regions:
+        cover[region] += 1
+    assert np.all(cover == 1)
+    number = _region_numbers(coords, regions)
+    for r, c, k in zip(*coords, number):
+        rows, cols = regions[k]
+        assert rows.start <= r < rows.stop and cols.start <= c < cols.stop
+
+
+# The booster before pair visits were summed from the rows, kept as the
+# oracle: dense per-bin G, H and ``delta`` on every visit, terms updated in
+# place and snapshot at each holdout improvement.
+def reference_boost_terms(data, index, terms, margins, rounds, config) -> int:
+    val = _holdout_mask(data.n, config)
+    fit = ~val
+    yf, wf, yv, wv = data.y[fit], data.w[fit], data.y[val], data.w[val]
+    index_f = [ix[fit] for ix in index]
+    index_v = [ix[val] for ix in index]
+    layout = [
+        _grid_sums(ix, t.shape) if t.ndim == 1 else divmod(ix, t.shape[1])
+        for ix, t in zip(index_f, terms)
+    ]
+    margins_f, margins_v = margins[fit], margins[val]
+    lr = config.learning_rate
+    prev_loss = log_loss(sigmoid(margins_f), yf, wf)
+    best_val, best_terms, best_cycle = np.inf, None, 0
+    cycle = 0
+    for cycle in range(1, rounds + 1):
+        for t, term in enumerate(terms):
+            p = sigmoid(margins_f)
+            g, h = wf * (p - yf), wf * p * (1.0 - p)
+            G = _grid_sums(index_f[t], term.shape, g)
+            H = _grid_sums(index_f[t], term.shape, h)
+            if term.ndim == 1:
+                regions = _best_segments_1d(
+                    G, H, config.max_leaves, layout[t], config.min_samples_leaf
+                )
+            else:
+                regions, _ = _best_regions_2d_rows(
+                    layout[t], term.shape, g, h, config.min_samples_leaf
+                )
+            delta = np.zeros(term.shape)
+            for region in regions:
+                Gs, Hs = G[region].sum(), H[region].sum()
+                if Hs > 0:
+                    delta[region] = -lr * Gs / (Hs + _H_EPS)
+            term += delta
+            margins_f += delta.take(index_f[t])
+            if margins_v.size:
+                margins_v += delta.take(index_v[t])
+        loss = log_loss(sigmoid(margins_f), yf, wf)
+        if margins_v.size:
+            val_loss = log_loss(sigmoid(margins_v), yv, wv)
+            if val_loss < best_val - 1e-7:
+                best_val = val_loss
+                best_terms = [term.copy() for term in terms]
+                best_cycle = cycle
+            elif cycle - best_cycle > config.patience:
+                break
+        if abs(prev_loss - loss) < config.tol:
+            break
+        prev_loss = loss
+    if best_terms is None:
+        return cycle
+    for term, best in zip(terms, best_terms):
+        term[...] = best
+    return best_cycle
+
+
+@st.composite
+def boosting_problems(draw):
+    """Rows binned into 1-D shapes or into pair grids from 1 x 1 to 6 x 6,
+    with weights that may be 0 (a region can then have H = 0) and a config
+    whose holdout, patience and tol can each end or restore the boosting."""
+    n = draw(st.integers(6, 48))
+    if draw(st.booleans()):
+        shapes = draw(st.lists(st.integers(1, 8).map(lambda b: (b,)), min_size=1, max_size=3))
+    else:
+        side = st.integers(1, 6)
+        shapes = draw(st.lists(st.tuples(side, side), min_size=1, max_size=3))
+    index = [
+        np.array(draw(st.lists(st.integers(0, math.prod(s) - 1), min_size=n, max_size=n)))
+        for s in shapes
+    ]
+    y = np.array(draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=n, max_size=n)))
+    pool = draw(st.sampled_from([[0.5, 1.0, 2.0], [0.0, 0.5, 1.0, 2.0], [0.0, 0.0, 0.0, 1.0], [0.0]]))
+    w = np.array(draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)))
+    margins = np.array(draw(st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n)))
+    config = EbmConfig(
+        # at 1e-6 the holdout gains less than 1e-7 a cycle, so several
+        # cycles' visits wait for the next improvement
+        learning_rate=draw(st.sampled_from([1e-6, 0.1, 0.5, 1.0])),
+        max_leaves=draw(st.integers(1, 4)),
+        min_samples_leaf=draw(st.integers(1, 5)),
+        early_stopping=draw(st.booleans()),
+        validation_stride=draw(st.integers(2, 4)),
+        patience=draw(st.integers(0, 6)),
+        tol=draw(st.sampled_from([0.0, 1e-4, 1e-2])),
+    )
+    if draw(st.booleans()):
+        # a holdout of zero weight scores NaN and never improves, so every
+        # cycle's visits wait until the stop
+        w[_holdout_mask(n, config)] = 0.0
+    # the booster reads only n, y and w; a Dataset would refuse zero weights
+    data = SimpleNamespace(n=n, y=y, w=w)
+    return data, index, shapes, margins, draw(st.integers(0, 25)), config
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # all-zero weights: NaN loss
+@settings(max_examples=400)
+@given(boosting_problems())
+def test_boost_terms_matches_dense_reference(problem):
+    """Shapes and the cycle count equal the dense booster's exactly; pair
+    grids, whose leaf sums are now taken row by row, within 1e-12."""
+    data, index, shapes, margins, rounds, config = problem
+    got = [np.zeros(s) for s in shapes]
+    want = [np.zeros(s) for s in shapes]
+    cycles = _boost_terms(data, index, got, margins.copy(), rounds, config)
+    assert cycles == reference_boost_terms(data, index, want, margins.copy(), rounds, config)
+    if len(shapes[0]) == 1:
+        assert [t.tobytes() for t in got] == [t.tobytes() for t in want]
+    else:
+        for a, b in zip(got, want):
+            assert np.max(np.abs(a - b)) <= 1e-12
+
+
+def test_fit_pairs_memory_stays_near_its_grids():
+    """Boosting eight 255 x 255 pair grids holds little beyond the grids
+    it returns: no dense per-visit sums and no snapshots."""
+    rng = np.random.default_rng(11)
+    X = rng.standard_normal((1000, 5))
+    y = (rng.random(1000) < sigmoid(X[:, 0] * X[:, 1] + X[:, 2])).astype(float)
+    data = Dataset(X, y, np.ones(1000), [f"x{j}" for j in range(5)])
+    config = EbmConfig(learning_rate=0.05, rounds=5, pair_rounds=40, patience=40)
+    mains = fit_ebm(data, config)
+    pairs = list(itertools.combinations(range(5), 2))[:8]
+    tracemalloc.start()
+    try:
+        model = fit_pairs(data, mains, pairs, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [t.grid.shape for t in model.pairs] == [(255, 255)] * 8
+    assert peak < 2 * sum(t.grid.nbytes for t in model.pairs)

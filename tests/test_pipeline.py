@@ -130,6 +130,25 @@ def test_sweep_pairs_p0_equals_mains(small_splits, ranked):
     assert "max_relative_f1_improvement" in report.meta
 
 
+def test_sweep_pairs_caps_counts_at_the_pairs_that_exist(small_splits, ranked, monkeypatch):
+    # k = 3 features have 3 pairs: 5 and 8 fit those 3, once
+    train, test = small_splits
+    _, ranking = ranked
+    fitted = []
+    real = pipeline.fit_pairs
+
+    def counting(data, model, pairs, config=None):
+        fitted.append(len(pairs))
+        return real(data, model, pairs, config)
+
+    monkeypatch.setattr(pipeline, "fit_pairs", counting)
+    report = sweep_interactions(train, test, ranking, 3, [0, 2, 3, 5, 8], {"rounds": 30})
+    assert [row["n_pairs"] for row in report.rows] == [0, 2, 3]
+    assert report.config["pair_counts"] == [0, 2, 3]
+    assert fitted == [2, 3]
+    assert len(report.meta["pair_candidates"]) == 3
+
+
 def _toy_ranked(names):
     return RankedFeatures(
         names=list(names),
@@ -305,3 +324,72 @@ def test_run_full_repeat_manifest_identical(tmp_path):
         doc = json.loads((out / "manifest.json").read_text())
         m.append((doc["config_hash"], doc["artifacts"]))
     assert m[0] == m[1]
+
+
+def _glassbox_family_config(**changes):
+    """``run_full`` shaped like the benchmark's glass-box workload, scaled
+    down: LR reference ranked by coefficients, EBM and PLTR on the top k,
+    the pair sweep and correlation refinement."""
+    config = {
+        "dataset": {"preset": "redundant", "n_train": 500, "n_test": 300},
+        "base_kind": "lr",
+        "rank_method": "coef",
+        "model_configs": {
+            "ebm": {"learning_rate": 0.05, "rounds": 15, "pair_rounds": 10, "patience": 15}
+        },
+        "k": 5,
+        "reduced_kinds": ["ebm", "pltr"],
+        "sweep_pairs": {"k": 5, "pair_counts": [0, 2, 4]},
+        "refinement": {"pool": 8, "target": 6, "protected": 3},
+    }
+    config.update(changes)
+    return config
+
+
+@pytest.fixture()
+def count_ebm_fits(monkeypatch):
+    calls = []
+    real = pipeline.fit_ebm
+
+    def counting(data, config=None):
+        calls.append(data.feature_names)
+        return real(data, config)
+
+    monkeypatch.setattr(pipeline, "fit_ebm", counting)
+    return calls
+
+
+def test_pair_sweep_reuses_the_reduced_ebm(tmp_path, count_ebm_fits):
+    # stage 3's EBM and the refined one; the sweep's mains is stage 3's
+    run_full(_glassbox_family_config(), tmp_path / "run")
+    assert len(count_ebm_fits) == 2
+
+
+@pytest.mark.parametrize(
+    "changes",
+    [
+        {"model_configs": {"ebm": {"rounds": 15, "n_pairs": 1}}},
+        {"sweep_pairs": {"k": 4, "pair_counts": [0, 2]}},
+    ],
+    ids=["ebm-with-pairs", "other-k"],
+)
+def test_pair_sweep_refits_a_different_ebm(tmp_path, count_ebm_fits, changes):
+    run_full(_glassbox_family_config(**changes), tmp_path / "run")
+    assert len(count_ebm_fits) == 3
+
+
+def test_pair_sweep_reuse_keeps_every_artifact(tmp_path, monkeypatch):
+    config = _glassbox_family_config()
+    run_full(config, tmp_path / "reused")
+    real = pipeline.sweep_interactions
+
+    def refit(*args, mains=None, **kwargs):
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "sweep_interactions", refit)
+    run_full(config, tmp_path / "refit")
+    names = sorted(p.name for p in (tmp_path / "reused").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "refit").iterdir())
+    assert "sweep_pairs.json" in names
+    for name in names:
+        assert (tmp_path / "reused" / name).read_bytes() == (tmp_path / "refit" / name).read_bytes()
