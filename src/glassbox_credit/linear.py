@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit
 
 from .data import Dataset, check_matrix, zscore
 from .errors import ConvergenceError, DataError
@@ -32,8 +31,18 @@ ZERO_WEIGHT_EPS = 1e-4  # adaptive weight floor: zero estimates get 1/eps
 CD_TOL = 1e-7
 
 
+@np.errstate(over="ignore", under="ignore")
 def sigmoid(z):
-    return expit(np.asarray(z, dtype=float))
+    """The logistic function 1 / (1 + exp(-z)) as float64, computed in one
+    new buffer. exp overflows for z below about -709.78; the result there is
+    exactly 0. Overflow and underflow raise no warning, under any
+    ``np.errstate``. A 0-d input gives a numpy scalar."""
+    z = np.asarray(z, dtype=float)
+    out = np.negative(z, out=np.empty(z.shape))
+    np.exp(out, out=out)
+    out += 1.0
+    np.divide(1.0, out, out=out)
+    return out if out.ndim else out[()]
 
 
 @dataclass

@@ -201,14 +201,20 @@ def step3_train_reduced(
     return _fit_scored(train, test, ranked.top(k), kind, config, threshold)
 
 
-def _fit_scored(train, test, names, kind, config, threshold, report=None):
+def _fit_scored(train, test, names, kind, config, threshold, report=None, reuse=None):
     """Fit ``kind`` on the ``names`` columns of the class-weighted train
     split and score the test split. With ``report``, also score the train
-    split and add the row. Returns (model, test metrics)."""
+    split and add the row. ``reuse`` is a model scored in place of the fit
+    when ``_same_fit`` finds it is that fit. Returns (model, test metrics)."""
     if not 1 <= len(names) <= train.d:
         raise DataError(f"k must be in [1, {train.d}], got {len(names)}")
     red_train = apply_class_weights(train.select_features(names))
-    model = train_model(kind, red_train, config)
+    if reuse is not None and _same_fit(
+        reuse, kind, red_train.feature_names, _model_config(kind, config)
+    ):
+        model = reuse
+    else:
+        model = train_model(kind, red_train, config)
     test_rep = evaluate_scores(
         model.predict_proba(test.select_features(names).X), test.y, threshold
     )
@@ -227,15 +233,20 @@ def sweep_k(
     configs: dict | None = None,
     epsilon: float = PLATEAU_EPS,
     threshold: float = 0.5,
+    fitted: dict | None = None,
 ) -> ExperimentReport:
     """One row per (kind, k); records the AUPRC plateau point per kind.
 
     The plateau is the smallest k whose AUPRC gain to the next larger k
-    falls below ``epsilon``.
+    falls below ``epsilon``. ``fitted`` may map a kind to a model already
+    fitted with ``configs[kind]`` on ``train``'s class-weighted top-k
+    columns for one k (stage 3 of ``run_full``); it is scored, not refitted,
+    at that k when ``_same_fit`` finds it is the fit this sweep would make.
     """
     if list(ks) != sorted(ks):
         raise DataError("ks must be sorted ascending")
     configs = configs or {}
+    fitted = fitted or {}
     report = ExperimentReport(
         config={"ks": list(ks), "kinds": list(kinds), "epsilon": epsilon}
     )
@@ -243,7 +254,8 @@ def sweep_k(
     for kind in kinds:
         for k in ks:
             _, rep = _fit_scored(
-                train, test, ranked.top(k), kind, configs.get(kind), threshold, report
+                train, test, ranked.top(k), kind, configs.get(kind), threshold, report,
+                reuse=fitted.get(kind),
             )
             auprc_by_kind[kind].append(rep.auprc)
     if len(ks) > 1:
@@ -290,7 +302,7 @@ def sweep_interactions(
     red_train = apply_class_weights(train.select_features(names))
     red_test = test.select_features(names)
     ebm_config = _model_config("ebm", dict(config or {}, n_pairs=0))
-    if mains is None or not _same_fit(mains, red_train.feature_names, ebm_config):
+    if mains is None or not _same_fit(mains, "ebm", red_train.feature_names, ebm_config):
         mains = fit_ebm(red_train, ebm_config)
     max_pairs = max(pair_counts) if pair_counts else 0
     candidates = detect_pairs(red_train, mains, max_pairs) if max_pairs else []
@@ -314,10 +326,17 @@ def sweep_interactions(
     return report
 
 
-def _same_fit(model: EbmModel, columns, config: EbmConfig) -> bool:
-    """Whether ``model`` is the EBM that ``config`` fits on ``columns``."""
-    fitted = {k: v for k, v in model.config.items() if k != "cycles_run"}
-    return list(model.feature_names) == list(columns) and fitted == config.as_dict()
+def _same_fit(model, kind: str, columns, config) -> bool:
+    """Whether ``model`` is the ``kind`` model that ``config`` (as
+    ``_model_config`` returns it) fits on ``columns``. GBDT and EBM models
+    record their config, EBM with ``cycles_run`` added, and it must match;
+    LR and PLTR models record none, so for them the caller vouches for it."""
+    if persist.model_kind(model) != kind or list(model.feature_names) != list(columns):
+        return False
+    if not hasattr(config, "as_dict"):
+        return True
+    recorded = {k: v for k, v in model.config.items() if k != "cycles_run"}
+    return recorded == config.as_dict()
 
 
 def refine_correlation(
@@ -531,6 +550,7 @@ def run_full(config: dict | str, out_dir) -> ExperimentReport:
                     model_configs,
                     config.get("plateau_epsilon", PLATEAU_EPS),
                     threshold,
+                    fitted=reduced,
                 )
                 emit("sweep_k.json", sweep.to_json())
 

@@ -51,6 +51,30 @@ def test_console_script_installed():
     assert proc.returncode == 0
 
 
+IMPORT_PROBE = """
+import json, pkgutil, sys
+import glassbox_credit, glassbox_credit.cli
+package = [m.name for m in pkgutil.iter_modules(glassbox_credit.__path__)]
+print(json.dumps({"package": package, "loaded": sorted(sys.modules)}))
+"""
+
+
+def test_cli_import_loads_no_scipy():
+    """The runtime needs numpy only: importing the CLI, which imports every
+    module of the package, loads no scipy and none of what it drags in."""
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_PROBE], capture_output=True, text=True, check=True
+    )
+    probe = json.loads(proc.stdout)
+    loaded = set(probe["loaded"])
+    assert {f"glassbox_credit.{name}" for name in probe["package"]} <= loaded
+    heavy = sorted(
+        m for m in loaded
+        if m.split(".")[0] == "scipy" or m == "numpy.f2py" or m.startswith("numpy.f2py.")
+    )
+    assert heavy == []
+
+
 @pytest.fixture(scope="module")
 def artifacts(tmp_path_factory):
     """synth -> prepare -> train -> rank -> reduce-train chain."""

@@ -1,3 +1,5 @@
+import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -35,6 +37,60 @@ def bernoulli_data(beta0, beta, n, seed):
 def test_sigmoid_known_value():
     assert sigmoid(np.array([np.log(3.0)]))[0] == pytest.approx(0.75)
     assert sigmoid(np.array([0.0]))[0] == 0.5
+
+
+def _logistic_reference(z: float) -> float:
+    try:
+        return 1.0 / (1.0 + math.exp(-z))
+    except OverflowError:  # exp(-z) beyond the float range: the limit is 0
+        return 0.0
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.floats(allow_nan=False, allow_infinity=False))
+def test_sigmoid_matches_scalar_reference(z):
+    want = _logistic_reference(z)
+    got = sigmoid(z)
+    assert abs(got - want) <= 1e-15 * want
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=12),
+    st.sampled_from([(-1,), (-1, 1), (1, -1)]),
+)
+def test_sigmoid_shape_dtype_and_input_untouched(values, shape):
+    z = np.array(values, dtype=float).reshape(shape)
+    before = z.copy()
+    out = sigmoid(z)
+    assert isinstance(out, np.ndarray) and out is not z
+    assert out.dtype == np.float64 and out.shape == z.shape
+    np.testing.assert_array_equal(z, before)
+    want = [_logistic_reference(v) if not math.isnan(v) else math.nan for v in z.ravel()]
+    np.testing.assert_allclose(out.ravel(), want, rtol=1e-15, atol=0)
+
+
+def test_sigmoid_special_values():
+    assert sigmoid(0.0) == 0.5 and sigmoid(-0.0) == 0.5
+    assert sigmoid(np.inf) == 1.0 and sigmoid(-np.inf) == 0.0
+    assert np.isnan(sigmoid(np.nan))
+    assert sigmoid(np.array([-745.2, -1e300]))[0] == 0.0
+    ints = sigmoid(np.array([0, 1], dtype=np.int64))
+    assert ints.dtype == np.float64 and ints[0] == 0.5
+    for z in (0.3, np.float64(0.3), np.float32(0.3), np.array(0.3)):
+        assert type(sigmoid(z)) is np.float64  # a scalar for 0-d input
+    assert sigmoid(np.array(0.3)) == _logistic_reference(0.3)
+
+
+def test_sigmoid_silent_at_extremes():
+    z = np.array([-1000.0, 1000.0, -709.9, -709.5, -np.inf, np.inf])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = sigmoid(z)
+        with np.errstate(all="raise"):
+            np.testing.assert_array_equal(sigmoid(z), out)
+    np.testing.assert_array_equal(out[[0, 1, 2, 4, 5]], [0.0, 1.0, 0.0, 0.0, 1.0])
+    assert 0.0 < out[3] < 1e-307  # subnormal, not flushed to 0
 
 
 def test_logistic_recovers_coefficients():

@@ -393,3 +393,59 @@ def test_pair_sweep_reuse_keeps_every_artifact(tmp_path, monkeypatch):
     assert "sweep_pairs.json" in names
     for name in names:
         assert (tmp_path / "reused" / name).read_bytes() == (tmp_path / "refit" / name).read_bytes()
+
+
+def _k_sweep_config():
+    return _glassbox_family_config(k=4, sweep_ks=[2, 4], sweep_pairs=None, refinement=None)
+
+
+def test_k_sweep_reuses_stage_3_models(tmp_path, count_ebm_fits, monkeypatch):
+    pltr_fits = []
+    real_pltr = pipeline.fit_pltr
+
+    def counting_pltr(data, **kwargs):
+        pltr_fits.append(data.feature_names)
+        return real_pltr(data, **kwargs)
+
+    monkeypatch.setattr(pipeline, "fit_pltr", counting_pltr)
+    run_full(_k_sweep_config(), tmp_path / "run")
+    # stage 3 at k = 4, then the sweep's k = 2; its k = 4 row reuses stage 3
+    assert [len(names) for names in count_ebm_fits] == [4, 2]
+    assert [len(names) for names in pltr_fits] == [4, 2]
+
+
+def test_k_sweep_reuse_keeps_every_artifact(tmp_path, monkeypatch):
+    config = _k_sweep_config()
+    run_full(config, tmp_path / "reused")
+    real = pipeline.sweep_k
+
+    def refit(*args, fitted=None, **kwargs):
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "sweep_k", refit)
+    run_full(config, tmp_path / "refit")
+    names = sorted(p.name for p in (tmp_path / "reused").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "refit").iterdir())
+    assert {"sweep_k.json", "manifest.json"} <= set(names)
+    for name in names:
+        assert (tmp_path / "reused" / name).read_bytes() == (tmp_path / "refit" / name).read_bytes()
+
+
+@pytest.mark.parametrize(
+    "fitted_config", [{"rounds": 10}, None], ids=["other-config", "other-columns"]
+)
+def test_sweep_k_refits_a_model_it_cannot_reuse(small_splits, ranked, count_ebm_fits, fitted_config):
+    train, test = small_splits
+    _, ranking = ranked
+    ebm_config = {"rounds": 15, "learning_rate": 0.05}
+    names = ranking.top(3) if fitted_config is None else ranking.top(2)
+    model, _ = pipeline._fit_scored(
+        train, test, names, "ebm", fitted_config or ebm_config, 0.5
+    )
+    count_ebm_fits.clear()
+    sweep_k(train, test, ranking, [2], ["ebm"], {"ebm": ebm_config}, fitted={"ebm": model})
+    assert len(count_ebm_fits) == 1
+    # a model of another kind on the right columns is refitted too
+    lr, _ = pipeline._fit_scored(train, test, ranking.top(2), "lr", None, 0.5)
+    sweep_k(train, test, ranking, [2], ["ebm"], {"ebm": ebm_config}, fitted={"ebm": lr})
+    assert len(count_ebm_fits) == 2
