@@ -57,7 +57,7 @@ class GbdtConfig:
 
 
 # The node arrays of a tree: (name, dtype, value of a new node). Code that
-# handles every field (construction, add_node, persist's codec and load
+# handles every field (construction, growing, persist's codec and load
 # checks) loops over this table; persist writes the fields in this order.
 TREE_FIELDS = (
     ("feature", np.intp, _LEAF),
@@ -78,20 +78,11 @@ class Tree:
     node at build time. Nodes are in preorder, so both children of a split
     lie after it: ``mean_value`` relies on that, and loading checks it."""
 
-    def __init__(self, nodes=None):
+    def __init__(self, nodes):
         """A tree from a mapping of field name to node values, each copied
-        into an array of the field's dtype; with none, an empty tree."""
+        into an array of the field's dtype."""
         for name, dtype, _ in TREE_FIELDS:
-            setattr(self, name, np.array(() if nodes is None else nodes[name], dtype))
-
-    def add_node(self) -> int:
-        n = self.n_nodes
-        for name, dtype, blank in TREE_FIELDS:
-            grown = np.empty(n + 1, dtype)
-            grown[:n] = getattr(self, name)
-            grown[n] = blank
-            setattr(self, name, grown)
-        return n
+            setattr(self, name, np.array(nodes[name], dtype))
 
     @property
     def n_nodes(self) -> int:
@@ -236,23 +227,26 @@ def _child_rows(rows, keep, size):
     return child
 
 
-def _grow_node(tree: Tree, g, h, xt, cfg: GbdtConfig, idx, rows, depth, step) -> int:
-    """Grow the subtree of the rows ``idx`` (ascending); ``step[i]`` gets the
-    weight of the leaf row i reaches. ``rows`` holds them presorted by each
-    column of ``xt`` (X transposed), or is None where the node cannot split."""
+def _grow_node(nodes: dict, g, h, xt, cfg: GbdtConfig, idx, rows, depth, step) -> int:
+    """Grow the subtree of the rows ``idx`` (ascending), appending its nodes
+    in preorder to ``nodes``' per-field lists; ``step[i]`` gets the weight of
+    the leaf row i reaches. ``rows`` holds them presorted by each column of
+    ``xt`` (X transposed), or is None where the node cannot split."""
     # a module-level function, not a closure: a self-referencing closure is a
     # reference cycle that keeps the round's arrays alive until a GC pass
-    node = tree.add_node()
+    node = len(nodes["feature"])
+    for name, _, blank in TREE_FIELDS:
+        nodes[name].append(blank)
     G, H = g[idx].sum(), h[idx].sum()  # over ascending row ids, as always
-    tree.cover[node] = float(H)
+    nodes["cover"][node] = float(H)
     found = None if rows is None else _best_split(g, h, G, H, rows, xt, cfg)
     if found is None:
-        tree.value[node] = step[idx] = float(-G / (H + cfg.reg_lambda))
+        nodes["value"][node] = step[idx] = float(-G / (H + cfg.reg_lambda))
         return node
     gain, f, thr = found
-    tree.feature[node] = f
-    tree.threshold[node] = thr
-    tree.gain[node] = gain
+    nodes["feature"][node] = f
+    nodes["threshold"][node] = thr
+    nodes["gain"][node] = gain
     # the rows with x < thr lead feature f's sorted rows
     n_left = int(np.searchsorted(xt[f][rows[f]], thr))
     goes_left = np.zeros(len(g), dtype=bool)
@@ -262,8 +256,8 @@ def _grow_node(tree: Tree, g, h, xt, cfg: GbdtConfig, idx, rows, depth, step) ->
         child = None
         if depth + 1 < cfg.max_depth and size > 1:
             child = _child_rows(rows, keep, size)
-        children.append(_grow_node(tree, g, h, xt, cfg, idx[keep[idx]], child, depth + 1, step))
-    tree.left[node], tree.right[node] = children
+        children.append(_grow_node(nodes, g, h, xt, cfg, idx[keep[idx]], child, depth + 1, step))
+    nodes["left"][node], nodes["right"][node] = children
     return node
 
 
@@ -285,10 +279,10 @@ def fit_gbdt(data: Dataset, config: GbdtConfig) -> GbdtModel:
         p = sigmoid(margin)
         g = w * (p - y)
         h = w * p * (1.0 - p)
-        tree = Tree()
+        nodes = {name: [] for name, _, _ in TREE_FIELDS}
         step = np.empty(data.n)
-        _grow_node(tree, g, h, xt, config, idx, rows if config.max_depth > 0 else None, 0, step)
-        trees.append(tree)
+        _grow_node(nodes, g, h, xt, config, idx, rows if config.max_depth > 0 else None, 0, step)
+        trees.append(Tree(nodes))
         margin += config.eta * step
     return GbdtModel(
         trees=trees,

@@ -19,6 +19,7 @@ starts far from the optimum (small samples) from oscillating.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -94,7 +95,6 @@ def fit_logistic(
     tol: float = 1e-6,
     max_iter: int = 100,
     ridge: float = RIDGE,
-    feature_names=None,
 ) -> LinearModel:
     """Newton's method with backtracking; deterministic from zero init."""
     X, y, w = data.X, data.y, data.w
@@ -134,11 +134,10 @@ def fit_logistic(
             iterations=max_iter,
             grad_norm=float(max(abs(g0), np.abs(g).max())),
         )
-    names = feature_names if feature_names is not None else list(data.feature_names)
     return LinearModel(
         intercept=float(beta0),
         coef=beta,
-        feature_names=names,
+        feature_names=list(data.feature_names),
         diagnostics={"iterations": it, "grad_norm": float(max(abs(g0), np.abs(g).max()))},
     )
 
@@ -299,7 +298,7 @@ def _cd_penalized(X, y, w, lam, pen_w, beta0, beta, ridge=RIDGE, max_outer=200):
     raise ConvergenceError("penalized fit did not converge", iterations=max_outer)
 
 
-def lambda_max(X, y, w, pen_w, ridge=RIDGE) -> float:
+def lambda_max(X, y, w, pen_w) -> float:
     """Smallest penalty at which the all-zero slope solution is optimal."""
     W = w.sum()
     # intercept-only optimum
@@ -322,6 +321,9 @@ def fit_adaptive_lasso(
     rows when no validation set is given). The path is kept in
     ``diagnostics["path"]``: each grid point's ``lambda``, ``val_log_loss``
     and ``nonzero`` count, and the ``chosen`` index."""
+    auto = lam == "auto"
+    if not auto and (isinstance(lam, bool) or not isinstance(lam, numbers.Real)):
+        raise DataError(f"lambda must be a number or 'auto', got {lam!r}")
     X, y, w = data.X, data.y, data.w
     if y.min() == y.max():
         raise DataError("adaptive lasso needs both classes present")
@@ -329,7 +331,7 @@ def fit_adaptive_lasso(
     pen_w = adaptive_weights(initial.coef, gamma)
 
     path = None
-    if lam == "auto":
+    if auto:
         if validation is None:
             idx = np.arange(data.n)
             val_mask = idx % 4 == 3

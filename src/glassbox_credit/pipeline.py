@@ -10,8 +10,12 @@ manifest. Everything here is deterministic: no step draws random numbers.
 
 from __future__ import annotations
 
+import contextlib
+import dataclasses
 import hashlib
+import inspect
 import json
+import numbers
 import os
 from dataclasses import asdict, dataclass, field
 
@@ -120,13 +124,54 @@ def feature_hash(names) -> str:
     return digest[:16]
 
 
-def _model_config(kind: str, overrides: dict | None):
-    overrides = dict(overrides or {})
+def _check_keys(what: str, overrides, keys) -> None:
+    if not isinstance(overrides, dict):
+        raise DataError(f"{what} config must be an object, got {overrides!r}")
+    for key in overrides:
+        if key not in keys:
+            raise DataError(f"{what} config has unknown key {key!r}; options: {', '.join(keys)}")
+
+
+# the values a config field of each default's type takes (bools aside)
+_ACCEPTS = {int: numbers.Integral, float: numbers.Real, bool: bool, str: str}
+
+
+def _dataclass_config(what: str, cls, overrides):
+    """``cls(**overrides)`` once every key names a field and every value has
+    its field's type: an int field takes ints but not bools, a float field
+    ints or floats, a bool field bools and a str field strings."""
+    fields = {f.name: type(f.default) for f in dataclasses.fields(cls)}
+    _check_keys(what, overrides, fields)
+    for key, value in overrides.items():
+        want = fields[key]
+        if not isinstance(value, _ACCEPTS[want]) or (want is not bool and isinstance(value, bool)):
+            raise DataError(f"{what} config key {key!r} must be {want.__name__}, got {value!r}")
+    return cls(**overrides)
+
+
+# the keyword arguments lr and pltr configs may set: the fit function's
+# parameters with a value default (pltr's ``validation`` is a dataset)
+_FIT_KEYS = {
+    kind: [p.name for p in inspect.signature(fit).parameters.values()
+           if p.default is not p.empty and p.default is not None]
+    for kind, fit in (("lr", fit_logistic), ("pltr", fit_pltr))
+}
+
+
+def _model_config(kind: str, overrides):
+    """The checked config of ``kind``: a GbdtConfig or EbmConfig, or for lr
+    and pltr the dict of fit keyword arguments. Raises DataError for an
+    unknown kind, a config that is not an object, or a key or value the
+    kind does not take."""
+    if kind not in MODEL_KINDS:
+        raise DataError(f"unknown model kind {kind!r}; options: {MODEL_KINDS}")
+    overrides = {} if overrides is None else overrides
     if kind == "gbdt":
-        return GbdtConfig(**overrides)
+        return _dataclass_config(kind, GbdtConfig, overrides)
     if kind == "ebm":
-        return EbmConfig(**overrides)
-    return overrides  # lr and pltr take keyword arguments directly
+        return _dataclass_config(kind, EbmConfig, overrides)
+    _check_keys(kind, overrides, _FIT_KEYS[kind])
+    return dict(overrides)
 
 
 def train_model(kind: str, train: Dataset, config: dict | None = None):
@@ -135,21 +180,36 @@ def train_model(kind: str, train: Dataset, config: dict | None = None):
     LR standardizes internally and stores the train statistics on the model,
     so every kind predicts from raw feature values.
     """
+    config = _model_config(kind, config)
     if kind == "lr":
         means = train.X.mean(axis=0)
         stds = train.X.std(axis=0)
         std_data = Dataset(zscore(train.X, means, stds), train.y, train.w,
                            list(train.feature_names))
-        model = fit_logistic(std_data, **(config or {}))
+        model = fit_logistic(std_data, **config)
         model.means, model.stds = means, stds
         return model
     if kind == "gbdt":
-        return fit_gbdt(train, _model_config("gbdt", config))
+        return fit_gbdt(train, config)
     if kind == "ebm":
-        return fit_ebm(train, _model_config("ebm", config))
-    if kind == "pltr":
-        return fit_pltr(train, **(config or {}))
-    raise DataError(f"unknown model kind {kind!r}; options: {MODEL_KINDS}")
+        return fit_ebm(train, config)
+    return fit_pltr(train, **config)
+
+
+def _fit(kind: str, train: Dataset, config, fits: dict | None):
+    """The ``kind`` model that ``config`` fits on ``train`` (class-weighted,
+    its columns selected). ``fits`` is the memo of one run's fits on one
+    train split, keyed by the kind, the column names and the config in
+    canonical form; a fit it holds is returned, not made again. With None,
+    the model is fitted afresh."""
+    if fits is None:
+        return train_model(kind, train, config)
+    checked = _model_config(kind, config)
+    canonical = checked.as_dict() if kind in ("gbdt", "ebm") else checked
+    key = (kind, tuple(train.feature_names), repr(sorted(canonical.items())))
+    if key not in fits:
+        fits[key] = train_model(kind, train, config)
+    return fits[key]
 
 
 def step1_train_base(
@@ -201,20 +261,15 @@ def step3_train_reduced(
     return _fit_scored(train, test, ranked.top(k), kind, config, threshold)
 
 
-def _fit_scored(train, test, names, kind, config, threshold, report=None, reuse=None):
+def _fit_scored(train, test, names, kind, config, threshold, report=None, fits=None):
     """Fit ``kind`` on the ``names`` columns of the class-weighted train
-    split and score the test split. With ``report``, also score the train
-    split and add the row. ``reuse`` is a model scored in place of the fit
-    when ``_same_fit`` finds it is that fit. Returns (model, test metrics)."""
+    split through the ``fits`` memo (see ``_fit``) and score the test split.
+    With ``report``, also score the train split and add the row. Returns
+    (model, test metrics)."""
     if not 1 <= len(names) <= train.d:
         raise DataError(f"k must be in [1, {train.d}], got {len(names)}")
     red_train = apply_class_weights(train.select_features(names))
-    if reuse is not None and _same_fit(
-        reuse, kind, red_train.feature_names, _model_config(kind, config)
-    ):
-        model = reuse
-    else:
-        model = train_model(kind, red_train, config)
+    model = _fit(kind, red_train, config, fits)
     test_rep = evaluate_scores(
         model.predict_proba(test.select_features(names).X), test.y, threshold
     )
@@ -233,20 +288,18 @@ def sweep_k(
     configs: dict | None = None,
     epsilon: float = PLATEAU_EPS,
     threshold: float = 0.5,
-    fitted: dict | None = None,
+    fits: dict | None = None,
 ) -> ExperimentReport:
     """One row per (kind, k); records the AUPRC plateau point per kind.
 
     The plateau is the smallest k whose AUPRC gain to the next larger k
-    falls below ``epsilon``. ``fitted`` may map a kind to a model already
-    fitted with ``configs[kind]`` on ``train``'s class-weighted top-k
-    columns for one k (stage 3 of ``run_full``); it is scored, not refitted,
-    at that k when ``_same_fit`` finds it is the fit this sweep would make.
+    falls below ``epsilon``. Models are fitted through the ``fits`` memo
+    of ``train`` (see ``_fit``), so a fit an earlier stage made is scored,
+    not made again.
     """
     if list(ks) != sorted(ks):
         raise DataError("ks must be sorted ascending")
     configs = configs or {}
-    fitted = fitted or {}
     report = ExperimentReport(
         config={"ks": list(ks), "kinds": list(kinds), "epsilon": epsilon}
     )
@@ -254,8 +307,7 @@ def sweep_k(
     for kind in kinds:
         for k in ks:
             _, rep = _fit_scored(
-                train, test, ranked.top(k), kind, configs.get(kind), threshold, report,
-                reuse=fitted.get(kind),
+                train, test, ranked.top(k), kind, configs.get(kind), threshold, report, fits
             )
             auprc_by_kind[kind].append(rep.auprc)
     if len(ks) > 1:
@@ -280,18 +332,16 @@ def sweep_interactions(
     pair_counts,
     config: dict | None = None,
     threshold: float = 0.5,
-    mains: EbmModel | None = None,
+    fits: dict | None = None,
 ) -> ExperimentReport:
     """EBM with k features and p pair terms for each p in ``pair_counts``.
 
     The mains model is fitted once; pair terms are detected on it once and
     added in ranked order, so the p = 0 row is exactly the plain reduced
     model. Counts above the k(k-1)/2 pairs that exist fit all of them, and
-    each count is fitted and reported once. ``mains`` may be an EBM already
-    fitted on ``train``'s class-weighted top-k columns (stage 3 of
-    ``run_full``); it is reused when its columns and config, ``cycles_run``
-    aside, are the ones this sweep would fit, and refitted otherwise.
-    Reports the maximum relative F1 improvement over p = 0.
+    each count is fitted and reported once. The mains model is fitted
+    through the ``fits`` memo of ``train`` (see ``_fit``). Reports the
+    maximum relative F1 improvement over p = 0.
     """
     pair_counts = [int(p) for p in pair_counts]
     if pair_counts and min(pair_counts) < 0:
@@ -301,9 +351,8 @@ def sweep_interactions(
     pair_counts = sorted({min(p, available) for p in pair_counts})
     red_train = apply_class_weights(train.select_features(names))
     red_test = test.select_features(names)
-    ebm_config = _model_config("ebm", dict(config or {}, n_pairs=0))
-    if mains is None or not _same_fit(mains, "ebm", red_train.feature_names, ebm_config):
-        mains = fit_ebm(red_train, ebm_config)
+    ebm_config = dataclasses.replace(_model_config("ebm", config), n_pairs=0)
+    mains = _fit("ebm", red_train, ebm_config.as_dict(), fits)
     max_pairs = max(pair_counts) if pair_counts else 0
     candidates = detect_pairs(red_train, mains, max_pairs) if max_pairs else []
     report = ExperimentReport(
@@ -324,19 +373,6 @@ def sweep_interactions(
     if f1_base is not None:
         report.meta["max_relative_f1_improvement"] = best_improvement
     return report
-
-
-def _same_fit(model, kind: str, columns, config) -> bool:
-    """Whether ``model`` is the ``kind`` model that ``config`` (as
-    ``_model_config`` returns it) fits on ``columns``. GBDT and EBM models
-    record their config, EBM with ``cycles_run`` added, and it must match;
-    LR and PLTR models record none, so for them the caller vouches for it."""
-    if persist.model_kind(model) != kind or list(model.feature_names) != list(columns):
-        return False
-    if not hasattr(config, "as_dict"):
-        return True
-    recorded = {k: v for k, v in model.config.items() if k != "cycles_run"}
-    return recorded == config.as_dict()
 
 
 def refine_correlation(
@@ -441,17 +477,14 @@ def _load_experiment_datasets(spec: dict):
     return prepare(read_raw_csv(spec["train_csv"], config), config)
 
 
+@contextlib.contextmanager
 def _stage(n: int, name: str):
-    class _StageContext:
-        def __enter__(self):
-            return self
-
-        def __exit__(self, exc_type, exc, tb):
-            if exc is not None and isinstance(exc, GlassboxError):
-                exc.args = (f"stage {n} ({name}): {exc.args[0]}",) + exc.args[1:]
-            return False
-
-    return _StageContext()
+    """Prefix a toolkit error raised inside with ``stage N (name): ``."""
+    try:
+        yield
+    except GlassboxError as exc:
+        exc.args = (f"stage {n} ({name}): {exc.args[0]}",) + exc.args[1:]
+        raise
 
 
 def _describe_lock(lock_path) -> str:
@@ -483,6 +516,9 @@ def run_full(config: dict | str, out_dir) -> ExperimentReport:
     Writes models, rankings, and reports as JSON plus a ``manifest.json``
     with a sha256 per artifact; identical config and inputs give an
     identical manifest. A lock file guards against concurrent writers.
+    The model configs and the refinement block are checked before anything
+    is written. Every stage fits through one memo, so a model two stages
+    need is fitted once.
     """
     if isinstance(config, str):
         with open(config, encoding="utf-8") as fh:
@@ -490,6 +526,14 @@ def run_full(config: dict | str, out_dir) -> ExperimentReport:
     merged = dict(DEFAULT_EXPERIMENT)
     merged.update(config)
     config = merged
+    model_configs = config.get("model_configs") or {}
+    if not isinstance(model_configs, dict):
+        raise DataError(f"model_configs must be an object, got {model_configs!r}")
+    for kind, overrides in model_configs.items():
+        _model_config(kind, overrides)
+    refine_cfg = config.get("refinement")
+    if refine_cfg is not None:
+        refine_cfg = _dataclass_config("refinement", RefinementConfig, refine_cfg)
 
     os.makedirs(out_dir, exist_ok=True)
     lock_path = os.path.join(out_dir, ".lock")
@@ -513,14 +557,14 @@ def run_full(config: dict | str, out_dir) -> ExperimentReport:
         with _stage(0, "load data"):
             train, test = _load_experiment_datasets(config["dataset"])
         threshold = config.get("threshold", 0.5)
-        model_configs = config.get("model_configs") or {}
         report = ExperimentReport(config=config)
+        fits = {}  # the memo of this run's fits on `train`
 
         with _stage(1, "train base model"):
             base_kind = config["base_kind"]
             base, _ = _fit_scored(
                 train, test, train.feature_names, base_kind,
-                model_configs.get(base_kind), threshold, report,
+                model_configs.get(base_kind), threshold, report, fits,
             )
             emit(f"base_{base_kind}.json", persist.dumps(base))
 
@@ -530,14 +574,12 @@ def run_full(config: dict | str, out_dir) -> ExperimentReport:
 
         with _stage(3, "train reduced models"):
             k = config["k"]
-            reduced = {}
             for kind in config["reduced_kinds"]:
                 model, _ = _fit_scored(
                     train, test, ranked.top(k), kind, model_configs.get(kind),
-                    threshold, report,
+                    threshold, report, fits,
                 )
                 emit(f"reduced_{kind}_k{k}.json", persist.dumps(model))
-                reduced[kind] = model
 
         if config.get("sweep_ks"):
             with _stage(4, "k sweep"):
@@ -550,7 +592,7 @@ def run_full(config: dict | str, out_dir) -> ExperimentReport:
                     model_configs,
                     config.get("plateau_epsilon", PLATEAU_EPS),
                     threshold,
-                    fitted=reduced,
+                    fits=fits,
                 )
                 emit("sweep_k.json", sweep.to_json())
 
@@ -565,19 +607,18 @@ def run_full(config: dict | str, out_dir) -> ExperimentReport:
                     spec.get("pair_counts", list(range(10))),
                     model_configs.get("ebm"),
                     threshold,
-                    mains=reduced.get("ebm"),
+                    fits=fits,
                 )
                 emit("sweep_pairs.json", sweep.to_json())
 
-        if config.get("refinement") is not None:
+        if refine_cfg is not None:
             with _stage(6, "correlation refinement"):
-                refine_cfg = RefinementConfig(**config["refinement"])
                 refined = refine_correlation(train, ranked, refine_cfg)
                 emit("ranking_refined.json", refined.to_json())
                 for kind in config["reduced_kinds"]:
                     model, _ = _fit_scored(
                         train, test, refined.names, kind, model_configs.get(kind),
-                        threshold, report,
+                        threshold, report, fits,
                     )
                     emit(f"refined_{kind}.json", persist.dumps(model))
 

@@ -13,21 +13,26 @@ from glassbox_credit.attribution import (
 )
 from glassbox_credit.data import Dataset
 from glassbox_credit.errors import DataError
-from glassbox_credit.gbdt import GbdtConfig, GbdtModel, Tree, fit_gbdt
+from glassbox_credit.gbdt import TREE_FIELDS, GbdtConfig, GbdtModel, Tree, fit_gbdt
+
+
+def new_node(nodes) -> int:
+    """Append a blank node to per-field node lists; returns its index."""
+    for name, _, blank in TREE_FIELDS:
+        nodes.setdefault(name, []).append(blank)
+    return len(nodes["feature"]) - 1
 
 
 def stump(feature, threshold, left_value, right_value, left_cover, right_cover):
-    tree = Tree()
-    root = tree.add_node()
-    left = tree.add_node()
-    right = tree.add_node()
-    tree.feature[root] = feature
-    tree.threshold[root] = threshold
-    tree.left[root], tree.right[root] = left, right
-    tree.value[left], tree.value[right] = left_value, right_value
-    tree.cover[left], tree.cover[right] = left_cover, right_cover
-    tree.cover[root] = left_cover + right_cover
-    return tree
+    return Tree({
+        "feature": [feature, -1, -1],
+        "threshold": [threshold, 0.0, 0.0],
+        "left": [1, -1, -1],
+        "right": [2, -1, -1],
+        "value": [0.0, left_value, right_value],
+        "cover": [left_cover + right_cover, left_cover, right_cover],
+        "gain": [0.0, 0.0, 0.0],
+    })
 
 
 def random_model(rng, d, n_trees, depth, n=200):
@@ -163,25 +168,25 @@ def hand_built_models(draw):
     d = draw(st.integers(1, 5))
     max_depth = draw(st.integers(0, 5))
 
-    def grow(tree, depth):
-        node = tree.add_node()
+    def grow(nodes, depth):
+        node = new_node(nodes)
         if depth < max_depth and draw(st.integers(0, 3)) < 3:  # split 3 times in 4
             # offset by depth: the simplest draw gives distinct features on a path
-            tree.feature[node] = (depth + draw(st.integers(0, d - 1))) % d
-            tree.threshold[node] = draw(st.sampled_from(CUTS))
-            left, right = grow(tree, depth + 1), grow(tree, depth + 1)
-            tree.left[node], tree.right[node] = left, right
-            tree.cover[node] = tree.cover[left] + tree.cover[right]
+            nodes["feature"][node] = (depth + draw(st.integers(0, d - 1))) % d
+            nodes["threshold"][node] = draw(st.sampled_from(CUTS))
+            left, right = grow(nodes, depth + 1), grow(nodes, depth + 1)
+            nodes["left"][node], nodes["right"][node] = left, right
+            nodes["cover"][node] = nodes["cover"][left] + nodes["cover"][right]
         else:
-            tree.value[node] = draw(st.floats(-2.0, 2.0))
-            tree.cover[node] = draw(st.floats(0.5, 10.0))
+            nodes["value"][node] = draw(st.floats(-2.0, 2.0))
+            nodes["cover"][node] = draw(st.floats(0.5, 10.0))
         return node
 
     trees = []
     for _ in range(draw(st.integers(1, 3))):
-        tree = Tree()
-        grow(tree, 0)
-        trees.append(tree)
+        nodes = {}
+        grow(nodes, 0)
+        trees.append(Tree(nodes))
     model = GbdtModel(
         trees=trees, base_score=draw(st.floats(-1.0, 1.0)), eta=draw(st.floats(0.1, 1.0)),
         reg_lambda=1.0, reg_gamma=0.0, max_depth=max_depth,
@@ -228,15 +233,16 @@ def test_deep_trees_explained_in_chunks():
 def test_long_path_sums_to_margin():
     # a chain of splits on 63 distinct features, one leaf off each split
     d = 63
-    tree = Tree()
-    node = tree.add_node()
+    nodes = {}
+    node = new_node(nodes)
     for f in range(d):
-        leaf, rest = tree.add_node(), tree.add_node()
-        tree.feature[node], tree.threshold[node] = f, 0.0
-        tree.left[node], tree.right[node] = leaf, rest
-        tree.value[leaf], tree.value[rest] = float(f % 3), -1.0
-        tree.cover[leaf] = tree.cover[rest] = 1.0
+        leaf, rest = new_node(nodes), new_node(nodes)
+        nodes["feature"][node], nodes["threshold"][node] = f, 0.0
+        nodes["left"][node], nodes["right"][node] = leaf, rest
+        nodes["value"][leaf], nodes["value"][rest] = float(f % 3), -1.0
+        nodes["cover"][leaf] = nodes["cover"][rest] = 1.0
         node = rest
+    tree = Tree(nodes)
     for node in reversed(range(len(tree.feature))):
         if tree.feature[node] != -1:
             tree.cover[node] = tree.cover[tree.left[node]] + tree.cover[tree.right[node]]

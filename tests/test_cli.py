@@ -256,3 +256,73 @@ def test_run_subcommand(tmp_path):
     out = tmp_path / "run"
     assert run_cli("run", "--config", cfg, "--out-dir", out) == 0
     assert (out / "manifest.json").exists()
+
+
+@pytest.fixture(scope="module")
+def small_cached(tmp_path_factory):
+    """A 60-row, 2-column cached dataset: enough for any kind to start a fit."""
+    import numpy as np
+
+    from glassbox_credit.data import Dataset, cache_dataset
+
+    rng = np.random.default_rng(3)
+    X = rng.standard_normal((60, 2))
+    y = (X[:, 0] + 0.5 * rng.standard_normal(60) > 0).astype(float)
+    path = tmp_path_factory.mktemp("small") / "data.csv"
+    cache_dataset(Dataset(X, y, np.ones(60), ["a", "b"]), path, str(path) + ".manifest.json")
+    return path
+
+
+MALFORMED_MODEL_CONFIGS = [
+    (kind, config)
+    for kind in ("lr", "gbdt", "ebm", "pltr")
+    for config in ({"bogus": 1}, [1])
+] + [
+    ("gbdt", {"rounds": "x"}),
+    ("gbdt", {"rounds": True}),
+    ("gbdt", {"eta": False}),
+    ("ebm", {"learning_rate": "x"}),
+    ("ebm", {"early_stopping": 1}),
+    ("pltr", {"lam": "x"}),
+]
+
+
+@pytest.mark.parametrize(("kind", "config"), MALFORMED_MODEL_CONFIGS)
+def test_train_rejects_a_malformed_model_config(small_cached, tmp_path, capsys, kind, config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    model = tmp_path / "model.json"
+    code = run_cli("train", "--train", small_cached, "--test", small_cached, "--kind", kind,
+                   "--model-config", cfg, "--out-model", model)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and "Traceback" not in err
+    assert not model.exists()
+
+
+@pytest.mark.parametrize(
+    "changes",
+    [
+        {"model_configs": {"gbdt": {"depth": 3}}},
+        {"model_configs": {"gbdt": {"rounds": 2}, "ebm": {"learning_rate": "x"}}},
+        {"model_configs": {"forest": {}}},
+        {"model_configs": [1]},
+        {"refinement": {"pool": 6, "target": 4, "protected": 2, "tau": 0.5}},
+        {"refinement": {"pool": 6, "target": 4, "protected": 2, "threshold": "x"}},
+        {"refinement": [6, 4, 2]},
+    ],
+    ids=["gbdt-key", "ebm-value", "kind", "not-an-object", "refinement-key",
+         "refinement-value", "refinement-not-an-object"],
+)
+def test_run_rejects_a_malformed_config_before_writing(tmp_path, capsys, changes):
+    config = {"dataset": {"preset": "additive", "n_train": 300, "n_test": 100},
+              "model_configs": {"gbdt": {"rounds": 2}}, "k": 3}
+    config.update(changes)
+    cfg = tmp_path / "exp.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "run"
+    code = run_cli("run", "--config", cfg, "--out-dir", out)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and "Traceback" not in err
+    assert not out.exists()

@@ -11,6 +11,7 @@ from glassbox_credit import gbdt, persist
 from glassbox_credit.data import Dataset
 from glassbox_credit.errors import DataError
 from glassbox_credit.gbdt import (
+    TREE_FIELDS,
     GbdtConfig,
     GbdtModel,
     Tree,
@@ -160,16 +161,23 @@ def test_native_importance_modes(tiny_data):
         importance_native(model, "magic")
 
 
+def new_node(nodes) -> int:
+    """Append a blank node to per-field node lists; returns its index."""
+    for name, _, blank in TREE_FIELDS:
+        nodes.setdefault(name, []).append(blank)
+    return len(nodes["feature"]) - 1
+
+
 def test_routing_left_strictly_below_threshold():
-    tree = Tree()
-    root = tree.add_node()
-    left = tree.add_node()
-    right = tree.add_node()
-    tree.feature[root] = 0
-    tree.threshold[root] = 1.0
-    tree.left[root], tree.right[root] = left, right
-    tree.value[left], tree.value[right] = -1.0, 1.0
-    tree.cover[left] = tree.cover[right] = 1.0
+    tree = Tree({
+        "feature": [0, -1, -1],
+        "threshold": [1.0, 0.0, 0.0],
+        "left": [1, -1, -1],
+        "right": [2, -1, -1],
+        "value": [0.0, -1.0, 1.0],
+        "cover": [0.0, 1.0, 1.0],
+        "gain": [0.0, 0.0, 0.0],
+    })
     out = tree.predict(np.array([[0.9], [1.0], [1.1]]))
     assert out.tolist() == [-1.0, 1.0, 1.0]  # x < t goes left; ties go right
 
@@ -214,20 +222,20 @@ def reference_best_split(X, g, h, idx, cfg):
     return gain, f, thr, X[idx, f] < thr
 
 
-def reference_grow_node(tree, X, g, h, cfg, idx, depth):
-    node = tree.add_node()
+def reference_grow_node(nodes, X, g, h, cfg, idx, depth):
+    node = new_node(nodes)
     G, H = g[idx].sum(), h[idx].sum()
-    tree.cover[node] = float(H)
+    nodes["cover"][node] = float(H)
     found = reference_best_split(X, g, h, idx, cfg) if depth < cfg.max_depth else None
     if found is None:
-        tree.value[node] = float(-G / (H + cfg.reg_lambda))
+        nodes["value"][node] = float(-G / (H + cfg.reg_lambda))
         return node
     gain, f, thr, left_mask = found
-    tree.feature[node] = f
-    tree.threshold[node] = thr
-    tree.gain[node] = gain
-    tree.left[node] = reference_grow_node(tree, X, g, h, cfg, idx[left_mask], depth + 1)
-    tree.right[node] = reference_grow_node(tree, X, g, h, cfg, idx[~left_mask], depth + 1)
+    nodes["feature"][node] = f
+    nodes["threshold"][node] = thr
+    nodes["gain"][node] = gain
+    nodes["left"][node] = reference_grow_node(nodes, X, g, h, cfg, idx[left_mask], depth + 1)
+    nodes["right"][node] = reference_grow_node(nodes, X, g, h, cfg, idx[~left_mask], depth + 1)
     return node
 
 
@@ -239,8 +247,9 @@ def reference_fit(data, cfg):
     trees = []
     for _ in range(cfg.rounds):
         p = sigmoid(margin)
-        tree = Tree()
-        reference_grow_node(tree, X, w * (p - y), w * p * (1.0 - p), cfg, np.arange(data.n), 0)
+        nodes = {}
+        reference_grow_node(nodes, X, w * (p - y), w * p * (1.0 - p), cfg, np.arange(data.n), 0)
+        tree = Tree(nodes)
         trees.append(tree)
         margin += cfg.eta * tree.predict(X)
     return GbdtModel(trees, base_score, cfg.eta, cfg.reg_lambda, cfg.reg_gamma,
@@ -324,22 +333,23 @@ def hand_built_trees(draw):
     thresholds."""
     d = draw(st.integers(1, 4))
     max_depth = draw(st.integers(0, 6))
-    tree = Tree()
+    nodes = {}
 
     def grow(depth):
-        node = tree.add_node()
+        node = new_node(nodes)
         if depth < max_depth and draw(st.integers(0, 3)) < 3:
-            tree.feature[node] = draw(st.integers(0, d - 1))
-            tree.threshold[node] = draw(st.sampled_from(THRESHOLDS))
+            nodes["feature"][node] = draw(st.integers(0, d - 1))
+            nodes["threshold"][node] = draw(st.sampled_from(THRESHOLDS))
             left, right = grow(depth + 1), grow(depth + 1)
-            tree.left[node], tree.right[node] = left, right
-            tree.cover[node] = tree.cover[left] + tree.cover[right]
+            nodes["left"][node], nodes["right"][node] = left, right
+            nodes["cover"][node] = nodes["cover"][left] + nodes["cover"][right]
         else:
-            tree.value[node] = draw(st.floats(-2.0, 2.0))
-            tree.cover[node] = draw(st.floats(0.1, 10.0))
+            nodes["value"][node] = draw(st.floats(-2.0, 2.0))
+            nodes["cover"][node] = draw(st.floats(0.1, 10.0))
         return node
 
     grow(0)
+    tree = Tree(nodes)
     n = draw(st.integers(0, 30))
     cells = draw(st.lists(st.sampled_from(ROW_VALUES), min_size=n * d, max_size=n * d))
     return tree, np.array(cells).reshape(n, d)

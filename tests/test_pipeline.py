@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from glassbox_credit import pipeline
-from glassbox_credit.data import Dataset
+from glassbox_credit.data import Dataset, apply_class_weights
 from glassbox_credit.errors import DataError
 from glassbox_credit.pipeline import (
     RefinementConfig,
@@ -383,7 +383,7 @@ def test_pair_sweep_reuse_keeps_every_artifact(tmp_path, monkeypatch):
     run_full(config, tmp_path / "reused")
     real = pipeline.sweep_interactions
 
-    def refit(*args, mains=None, **kwargs):
+    def refit(*args, fits=None, **kwargs):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(pipeline, "sweep_interactions", refit)
@@ -399,19 +399,24 @@ def _k_sweep_config():
     return _glassbox_family_config(k=4, sweep_ks=[2, 4], sweep_pairs=None, refinement=None)
 
 
-def test_k_sweep_reuses_stage_3_models(tmp_path, count_ebm_fits, monkeypatch):
-    pltr_fits = []
-    real_pltr = pipeline.fit_pltr
+@pytest.fixture()
+def count_pltr_fits(monkeypatch):
+    calls = []
+    real = pipeline.fit_pltr
 
-    def counting_pltr(data, **kwargs):
-        pltr_fits.append(data.feature_names)
-        return real_pltr(data, **kwargs)
+    def counting(data, **kwargs):
+        calls.append(data.feature_names)
+        return real(data, **kwargs)
 
-    monkeypatch.setattr(pipeline, "fit_pltr", counting_pltr)
+    monkeypatch.setattr(pipeline, "fit_pltr", counting)
+    return calls
+
+
+def test_k_sweep_reuses_stage_3_models(tmp_path, count_ebm_fits, count_pltr_fits):
     run_full(_k_sweep_config(), tmp_path / "run")
     # stage 3 at k = 4, then the sweep's k = 2; its k = 4 row reuses stage 3
     assert [len(names) for names in count_ebm_fits] == [4, 2]
-    assert [len(names) for names in pltr_fits] == [4, 2]
+    assert [len(names) for names in count_pltr_fits] == [4, 2]
 
 
 def test_k_sweep_reuse_keeps_every_artifact(tmp_path, monkeypatch):
@@ -419,7 +424,7 @@ def test_k_sweep_reuse_keeps_every_artifact(tmp_path, monkeypatch):
     run_full(config, tmp_path / "reused")
     real = pipeline.sweep_k
 
-    def refit(*args, fitted=None, **kwargs):
+    def refit(*args, fits=None, **kwargs):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(pipeline, "sweep_k", refit)
@@ -439,13 +444,60 @@ def test_sweep_k_refits_a_model_it_cannot_reuse(small_splits, ranked, count_ebm_
     _, ranking = ranked
     ebm_config = {"rounds": 15, "learning_rate": 0.05}
     names = ranking.top(3) if fitted_config is None else ranking.top(2)
-    model, _ = pipeline._fit_scored(
-        train, test, names, "ebm", fitted_config or ebm_config, 0.5
-    )
+    fits = {}
+    pipeline._fit_scored(train, test, names, "ebm", fitted_config or ebm_config, 0.5, fits=fits)
     count_ebm_fits.clear()
-    sweep_k(train, test, ranking, [2], ["ebm"], {"ebm": ebm_config}, fitted={"ebm": model})
+    sweep_k(train, test, ranking, [2], ["ebm"], {"ebm": ebm_config}, fits=fits)
     assert len(count_ebm_fits) == 1
     # a model of another kind on the right columns is refitted too
-    lr, _ = pipeline._fit_scored(train, test, ranking.top(2), "lr", None, 0.5)
-    sweep_k(train, test, ranking, [2], ["ebm"], {"ebm": ebm_config}, fitted={"ebm": lr})
+    fits = {}
+    pipeline._fit_scored(train, test, ranking.top(2), "lr", None, 0.5, fits=fits)
+    sweep_k(train, test, ranking, [2], ["ebm"], {"ebm": ebm_config}, fits=fits)
     assert len(count_ebm_fits) == 2
+
+
+def test_sweep_k_refits_pltr_with_another_lambda(small_splits, ranked):
+    train, test = small_splits
+    _, ranking = ranked
+    fits = {}
+    _, unpenalized = pipeline._fit_scored(
+        train, test, ranking.top(3), "pltr", {"lam": 0}, 0.5, fits=fits
+    )
+    report = sweep_k(train, test, ranking, [3], ["pltr"], {"pltr": {"lam": 0.5}}, fits=fits)
+    _, fresh = pipeline._fit_scored(train, test, ranking.top(3), "pltr", {"lam": 0.5}, 0.5)
+    assert fresh.auroc != unpenalized.auroc
+    assert report.rows[0]["test"] == fresh.as_dict()
+
+
+def test_fit_memo_returns_only_the_same_fit(small_splits):
+    train, _ = small_splits
+    data = apply_class_weights(train.select_features(["f0", "f1"]))
+    fits = {}
+    gbdt = pipeline._fit("gbdt", data, {"rounds": 2}, fits)
+    assert pipeline._fit("gbdt", data, {"rounds": 2}, fits) is gbdt
+    # a default spelled out is the same config
+    assert pipeline._fit("gbdt", data, {"rounds": 2, "eta": 0.1}, fits) is gbdt
+    others = [
+        pipeline._fit("gbdt", data, {"rounds": 3}, fits),
+        pipeline._fit("gbdt", apply_class_weights(train.select_features(["f0", "f2"])),
+                      {"rounds": 2}, fits),
+        pipeline._fit("ebm", data, {"rounds": 2}, fits),
+        pipeline._fit("pltr", data, {"lam": 0}, fits),
+        pipeline._fit("pltr", data, {"lam": 0.5}, fits),
+    ]
+    assert all(model is not gbdt for model in others)
+    assert others[3] is not others[4]
+    assert len(fits) == 6
+
+
+def test_refinement_keeping_the_top_k_reuses_stage_3(tmp_path, count_ebm_fits, count_pltr_fits):
+    config = _glassbox_family_config(refinement={"pool": 5, "target": 5, "protected": 5})
+    out = tmp_path / "run"
+    run_full(config, out)
+    # stage 3's models serve the pair sweep and the refinement too
+    assert len(count_ebm_fits) == 1
+    assert len(count_pltr_fits) == 1
+    for kind in ("ebm", "pltr"):
+        assert (out / f"refined_{kind}.json").read_bytes() == (
+            out / f"reduced_{kind}_k5.json"
+        ).read_bytes()
