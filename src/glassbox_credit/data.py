@@ -6,11 +6,13 @@ one-hot encode configured categoricals (with an explicit column for missing
 values), impute numeric missing values with the train-split mean, and split
 train/test on a date cutoff.
 
-Ingestion converts each column with one ``float`` pass, falling back to
-categorical text, and parses each distinct date string once. A prepared
-Dataset is cached as CSV: every cell is a float ``repr``, written from
-``tolist()`` rows a chunk at a time and read back bit for bit by
-``np.loadtxt``; a file that ``np.loadtxt`` cannot read is rescanned cell by
+Ingestion reads the raw CSV a chunk of rows at a time: numeric cells go
+into one float array per column, text and date cells become references to
+one object per distinct cell, and each distinct date string is parsed once.
+A prepared Dataset is cached as CSV: every cell is a float ``repr``, written
+from ``tolist()`` rows a chunk at a time and read back bit for bit by
+``np.loadtxt`` into one buffer, in which the features are then packed into a
+contiguous X; a file that ``np.loadtxt`` cannot read is rescanned cell by
 cell so that the DataError names the line at fault.
 """
 
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import itertools
 import json
 import math
 import os
@@ -41,6 +44,8 @@ MISSING_CATEGORY = "nan"
 CACHE_COLUMNS = ["__label__", "__weight__"]
 # Rows per block that cache_dataset converts to Python floats at a time.
 CACHE_CHUNK_ROWS = 256
+# Rows ingest_csv holds as strings at a time.
+INGEST_CHUNK_ROWS = 256
 
 
 @dataclass
@@ -198,6 +203,12 @@ def ingest_csv(path, config: PrepConfig) -> RawTable:
     A column is numeric when every non-empty cell parses as a float; the
     configured date column is parsed as dates; everything else is
     categorical text. Empty cells are missing.
+
+    The rows are read ``INGEST_CHUNK_ROWS`` at a time, so the file never
+    exists in memory as strings: numeric cells go straight into one float
+    array per column, and text and date cells become references to one
+    object per distinct cell. A column that stops parsing as float after
+    its first chunk is read again, alone, in a second pass over the file.
     """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
@@ -206,40 +217,122 @@ def ingest_csv(path, config: PrepConfig) -> RawTable:
                 header = next(reader)
             except StopIteration:
                 raise DataError(f"{path}: empty file") from None
-            rows = list(reader)
+            if len(set(header)) != len(header):
+                raise DataError("duplicate column names in header")
+            for needed in (config.target, config.date_column):
+                if needed and needed not in header:
+                    raise DataError(f"missing column {needed!r}")
+            cols = [_DateColumn(name) if name == config.date_column else _NumericColumn()
+                    for name in header]
+            for chunk in _row_chunks(reader, len(header)):
+                for i, cells in enumerate(zip(*chunk)):
+                    if cols[i] is None or cols[i].add(cells):
+                        continue
+                    if cols[i].n:  # text after floats: read the column again
+                        cols[i] = None
+                    else:
+                        cols[i] = _TextColumn()
+                        cols[i].add(cells)
+        reread = [i for i, col in enumerate(cols) if col is None]
+        if reread:
+            with open(path, newline="", encoding="utf-8") as fh:
+                reader = csv.reader(fh)
+                next(reader)
+                for i in reread:
+                    cols[i] = _TextColumn()
+                for chunk in _row_chunks(reader, len(header)):
+                    for i in reread:
+                        cols[i].add([row[i] for row in chunk])
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-    if len(set(header)) != len(header):
-        raise DataError("duplicate column names in header")
-    for needed in (config.target, config.date_column):
-        if needed and needed not in header:
-            raise DataError(f"missing column {needed!r}")
-    for row in rows:
-        if len(row) != len(header):
+    return RawTable(header, {name: col.result() for name, col in zip(header, cols)})
+
+
+def _row_chunks(reader, width: int):
+    """The rows of ``reader`` in lists of up to ``INGEST_CHUNK_ROWS``.
+    DataError at a chunk holding a row of another width than ``width``."""
+    while chunk := list(itertools.islice(reader, INGEST_CHUNK_ROWS)):
+        if set(map(len, chunk)) != {width}:
             raise DataError("ragged CSV row")
-    columns = {}
-    # zip(*rows) yields one column at a time; with no rows every column is empty.
-    cells = zip(*rows) if rows else [()] * len(header)
-    for name, raw in zip(header, cells):
-        if name == config.date_column:
-            # Dates repeat (a month per loan): parse each distinct cell once,
-            # in first-seen order so the first bad cell is the one named.
-            dates = {}
-            for cell in dict.fromkeys(raw):
-                dates[cell] = parse_date(cell)
-                if dates[cell] is None and cell.strip():
-                    raise DataError(f"unparseable date {cell!r} in column {name!r}")
-            columns[name] = ("date", [dates[c] for c in raw])
-            continue
+        yield chunk
+
+
+class _NumericColumn:
+    """A column read as floats into one array that grows in place; blank
+    cells are NaN."""
+
+    def __init__(self):
+        self.values = np.empty(0)
+        self.n = 0
+        self.observed = False  # a non-blank cell was seen
+
+    def add(self, cells) -> bool:
+        """Append the chunk's floats; False, appending nothing, when a
+        cell does not parse."""
         try:
-            vals = [float(c) if c.strip() else math.nan for c in raw]
+            floats = [float(c) if c.strip() else math.nan for c in cells]
         except ValueError:
-            vals = None
-        if vals is not None and any(map(str.strip, raw)):
-            columns[name] = ("numeric", np.array(vals, dtype=float))
-        else:
-            columns[name] = ("categorical", [c if c.strip() else None for c in raw])
-    return RawTable(header, columns)
+            return False
+        end = self.n + len(floats)
+        if end > self.values.size:
+            # by a quarter, as np.loadtxt grows its result; no view of the
+            # array exists, so realloc may move it
+            self.values.resize(max(end, self.values.size * 5 // 4), refcheck=False)
+        self.values[self.n:end] = floats
+        self.n = end
+        self.observed = self.observed or any(map(str.strip, cells))
+        return True
+
+    def result(self):
+        if not self.observed:  # every cell blank (or no rows): categorical
+            return ("categorical", [None] * self.n)
+        self.values.resize(self.n, refcheck=False)
+        return ("numeric", self.values)
+
+
+class _TextColumn:
+    """A categorical column: each distinct cell is kept once, blank as None."""
+
+    def __init__(self):
+        self.values = []
+        self._objects = {}
+
+    def add(self, cells) -> bool:
+        objects = self._objects
+        for cell in set(cells).difference(objects):
+            objects[cell] = cell if cell.strip() else None
+        self.values.extend(map(objects.__getitem__, cells))
+        return True
+
+    def result(self):
+        return ("categorical", self.values)
+
+
+class _DateColumn:
+    """The date column: each distinct cell is parsed once. The first cell,
+    in row order, that is neither blank nor a date is named when the column
+    is taken, so that a ragged row anywhere in the file is reported first."""
+
+    def __init__(self, name: str):
+        self.name = name
+        self.values = []
+        self._dates = {}
+        self._bad = None
+
+    def add(self, cells) -> bool:
+        dates = self._dates
+        for cell in dict.fromkeys(cells):
+            if cell not in dates:
+                dates[cell] = parse_date(cell)
+                if dates[cell] is None and cell.strip() and self._bad is None:
+                    self._bad = cell
+        self.values.extend(map(dates.__getitem__, cells))
+        return True
+
+    def result(self):
+        if self._bad is not None:
+            raise DataError(f"unparseable date {self._bad!r} in column {self.name!r}")
+        return ("date", self.values)
 
 
 def encode_target(table: RawTable, config: PrepConfig) -> RawTable:
@@ -491,9 +584,21 @@ def load_cached_dataset(csv_path) -> Dataset:
         if arr is None or arr.shape[1] != len(header):
             fh.seek(0)
             arr = _read_cached_rows(csv_path, fh)
-    return Dataset(
-        X=arr[:, 2:], y=arr[:, 0], w=arr[:, 1], feature_names=header[2:]
-    )
+    y, w = arr[:, 0].copy(), arr[:, 1].copy()
+    return Dataset(X=_pack_features(arr), y=y, w=w, feature_names=header[2:])
+
+
+def _pack_features(arr: np.ndarray) -> np.ndarray:
+    """The columns after the label and weight of the C-ordered ``arr``, as
+    a contiguous view of its buffer: each row's features are moved to the
+    front, ``CACHE_CHUNK_ROWS`` rows at a time, overwriting ``arr``."""
+    n, d = arr.shape[0], arr.shape[1] - 2
+    flat = arr.reshape(-1)
+    for start in range(0, n, CACHE_CHUNK_ROWS):
+        stop = min(start + CACHE_CHUNK_ROWS, n)
+        # numpy copies a block through a temporary where it overlaps its target
+        flat[start * d:stop * d].reshape(stop - start, d)[...] = arr[start:stop, 2:]
+    return flat[:n * d].reshape(n, d)
 
 
 def _cached_header(csv_path, reader) -> list[str]:

@@ -41,6 +41,8 @@ from .metrics import log_loss
 from .ranking import RankedFeatures, rank_from_scores
 
 MAX_CUTS = 255
+# the quantiles whose values cut a column of more than MAX_CUTS + 1 values
+_BIN_QUANTILES = np.linspace(0.0, 1.0, MAX_CUTS + 2)[1:-1]
 _H_EPS = 1e-12
 
 
@@ -133,12 +135,28 @@ def build_bins(X: np.ndarray) -> list[np.ndarray]:
     when few enough, otherwise midpoints of quantile-derived values."""
     cuts = []
     for j in range(X.shape[1]):
-        uniq = np.unique(X[:, j])
+        col = np.sort(X[:, j])
+        uniq = col[np.concatenate(([True], col[1:] != col[:-1]))]
         if uniq.size > MAX_CUTS + 1:
-            qs = np.linspace(0.0, 1.0, MAX_CUTS + 2)[1:-1]
-            uniq = np.unique(np.quantile(X[:, j], qs))
+            uniq = np.unique(_sorted_quantiles(col, _BIN_QUANTILES))
         cuts.append(0.5 * (uniq[1:] + uniq[:-1]) if uniq.size > 1 else np.empty(0))
     return cuts
+
+
+def _sorted_quantiles(col: np.ndarray, qs: np.ndarray) -> np.ndarray:
+    """``np.quantile(x, qs)`` for ``col = np.sort(x)``, finite, and ``qs`` in
+    [0, 1]: numpy's linear method (virtual index (n - 1) q, and its lerp,
+    which works from the upper value from t = 0.5) without the partition
+    numpy makes for every quantile. The values are numpy's bit for bit,
+    except that a zero may carry the other sign: -0.0 and 0.0 sort in
+    another order than numpy's partition leaves them."""
+    index = (col.size - 1) * qs
+    lower = np.floor(index)
+    t = index - lower
+    lo = lower.astype(np.intp)
+    a, b = col[lo], col[np.minimum(lo + 1, col.size - 1)]
+    diff = b - a
+    return np.where(t >= 0.5, b - diff * (1 - t), a + diff * t)
 
 
 def _grid_sums(index, shape, weights=None) -> np.ndarray:

@@ -136,24 +136,32 @@ def _check_keys(what: str, overrides, keys) -> None:
 _ACCEPTS = {int: numbers.Integral, float: numbers.Real, bool: bool, str: str}
 
 
-def _dataclass_config(what: str, cls, overrides):
-    """``cls(**overrides)`` once every key names a field and every value has
-    its field's type: an int field takes ints but not bools, a float field
-    ints or floats, a bool field bools and a str field strings."""
-    fields = {f.name: type(f.default) for f in dataclasses.fields(cls)}
-    _check_keys(what, overrides, fields)
+def _check_config(what: str, overrides, types: dict) -> None:
+    """DataError unless ``overrides`` is an object whose every key is in
+    ``types`` (key -> the type of its default) and whose every value has its
+    key's type: an int takes ints but not bools, a float ints or floats, a
+    bool bools and a str strings."""
+    _check_keys(what, overrides, types)
     for key, value in overrides.items():
-        want = fields[key]
+        want = types[key]
         if not isinstance(value, _ACCEPTS[want]) or (want is not bool and isinstance(value, bool)):
             raise DataError(f"{what} config key {key!r} must be {want.__name__}, got {value!r}")
+
+
+def _dataclass_config(what: str, cls, overrides):
+    """``cls(**overrides)`` once ``_check_config`` passes them against the
+    types of the fields' defaults."""
+    _check_config(what, overrides, {f.name: type(f.default) for f in dataclasses.fields(cls)})
     return cls(**overrides)
 
 
-# the keyword arguments lr and pltr configs may set: the fit function's
-# parameters with a value default (pltr's ``validation`` is a dataset)
-_FIT_KEYS = {
-    kind: [p.name for p in inspect.signature(fit).parameters.values()
-           if p.default is not p.empty and p.default is not None]
+# the keyword arguments lr and pltr configs may set, with the types of their
+# defaults: the fit function's parameters with a value default (pltr's
+# ``validation`` is a dataset). pltr's ``lam`` is a number, or "auto".
+_FIT_TYPES = {
+    kind: {p.name: float if p.name == "lam" else type(p.default)
+           for p in inspect.signature(fit).parameters.values()
+           if p.default is not p.empty and p.default is not None}
     for kind, fit in (("lr", fit_logistic), ("pltr", fit_pltr))
 }
 
@@ -170,8 +178,21 @@ def _model_config(kind: str, overrides):
         return _dataclass_config(kind, GbdtConfig, overrides)
     if kind == "ebm":
         return _dataclass_config(kind, EbmConfig, overrides)
-    _check_keys(kind, overrides, _FIT_KEYS[kind])
+    _check_keys(kind, overrides, _FIT_TYPES[kind])
+    numeric = {k: v for k, v in overrides.items() if (k, v) != ("lam", "auto")}
+    _check_config(kind, numeric, _FIT_TYPES[kind])
     return dict(overrides)
+
+
+def _check_model_configs(configs) -> dict:
+    """``configs``, a kind -> config mapping ({} when empty or None), once
+    every key names a model kind and every config passes ``_model_config``."""
+    configs = configs or {}
+    if not isinstance(configs, dict):
+        raise DataError(f"model_configs must be an object, got {configs!r}")
+    for kind, overrides in configs.items():
+        _model_config(kind, overrides)
+    return configs
 
 
 def train_model(kind: str, train: Dataset, config: dict | None = None):
@@ -299,7 +320,7 @@ def sweep_k(
     """
     if list(ks) != sorted(ks):
         raise DataError("ks must be sorted ascending")
-    configs = configs or {}
+    configs = _check_model_configs(configs)
     report = ExperimentReport(
         config={"ks": list(ks), "kinds": list(kinds), "epsilon": epsilon}
     )
@@ -365,6 +386,7 @@ def sweep_interactions(
         train_rep = evaluate_scores(model.predict_proba(red_train.X), train.y, threshold)
         test_rep = evaluate_scores(model.predict_proba(red_test.X), test.y, threshold)
         report.add_row("ebm", names, train_rep, test_rep, n_pairs=p)
+        del model  # so that the next fit_pairs runs with no pair model's grids alive
         if p == 0:
             f1_base = test_rep.f1
         elif f1_base and f1_base > 0:
@@ -526,11 +548,7 @@ def run_full(config: dict | str, out_dir) -> ExperimentReport:
     merged = dict(DEFAULT_EXPERIMENT)
     merged.update(config)
     config = merged
-    model_configs = config.get("model_configs") or {}
-    if not isinstance(model_configs, dict):
-        raise DataError(f"model_configs must be an object, got {model_configs!r}")
-    for kind, overrides in model_configs.items():
-        _model_config(kind, overrides)
+    model_configs = _check_model_configs(config.get("model_configs"))
     refine_cfg = config.get("refinement")
     if refine_cfg is not None:
         refine_cfg = _dataclass_config("refinement", RefinementConfig, refine_cfg)

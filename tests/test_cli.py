@@ -284,6 +284,11 @@ MALFORMED_MODEL_CONFIGS = [
     ("ebm", {"learning_rate": "x"}),
     ("ebm", {"early_stopping": 1}),
     ("pltr", {"lam": "x"}),
+    ("pltr", {"lam": True}),
+    ("lr", {"tol": "x"}),
+    ("lr", {"max_iter": 2.5}),
+    ("pltr", {"gamma": "x"}),
+    ("pltr", {"include_original": "no"}),
 ]
 
 
@@ -301,17 +306,54 @@ def test_train_rejects_a_malformed_model_config(small_cached, tmp_path, capsys, 
 
 
 @pytest.mark.parametrize(
+    ("kind", "config"),
+    [("lr", {"tol": 1e-5, "max_iter": 20, "ridge": 0}),
+     ("pltr", {"lam": 0, "gamma": 2, "include_original": False}),
+     ("pltr", {"lam": "auto"})],
+)
+def test_train_takes_lr_and_pltr_configs(small_cached, tmp_path, kind, config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    model = tmp_path / "model.json"
+    assert run_cli("train", "--train", small_cached, "--test", small_cached, "--kind", kind,
+                   "--model-config", cfg, "--out-model", model) == 0
+    assert model.exists()
+
+
+@pytest.mark.parametrize(
+    "configs",
+    [{"ebn": {"rounds": 5}, "lr": {}}, {"lr": {"tol": "x"}}, [1]],
+    ids=["unknown-kind", "bad-value", "not-an-object"],
+)
+def test_sweep_k_rejects_a_malformed_model_config(small_cached, tmp_path, capsys, configs):
+    from glassbox_credit.ranking import RankedFeatures
+
+    ranking = tmp_path / "ranking.json"
+    ranking.write_text(RankedFeatures(["a", "b"], [1.0, 0.5], "coef", "lr").to_json())
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(configs))
+    out = tmp_path / "sweep.json"
+    code = run_cli("sweep-k", "--train", small_cached, "--test", small_cached, "--ranking",
+                   ranking, "--ks", "1,2", "--kinds", "lr", "--model-config", cfg, "--out", out)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "changes",
     [
         {"model_configs": {"gbdt": {"depth": 3}}},
         {"model_configs": {"gbdt": {"rounds": 2}, "ebm": {"learning_rate": "x"}}},
         {"model_configs": {"forest": {}}},
         {"model_configs": [1]},
+        {"model_configs": {"gbdt": {"rounds": 2}, "pltr": {"include_original": "no"}}},
         {"refinement": {"pool": 6, "target": 4, "protected": 2, "tau": 0.5}},
         {"refinement": {"pool": 6, "target": 4, "protected": 2, "threshold": "x"}},
         {"refinement": [6, 4, 2]},
     ],
-    ids=["gbdt-key", "ebm-value", "kind", "not-an-object", "refinement-key",
+    ids=["gbdt-key", "ebm-value", "kind", "not-an-object", "pltr-value", "refinement-key",
          "refinement-value", "refinement-not-an-object"],
 )
 def test_run_rejects_a_malformed_config_before_writing(tmp_path, capsys, changes):

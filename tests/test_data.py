@@ -179,6 +179,99 @@ def test_ingest_matches_reference(cache_dir, table):
             assert got.values(name) == vals
 
 
+def _assert_ingest_matches_reference(path, config):
+    try:
+        header, columns = reference_ingest(path, config)
+    except DataError as exc:
+        with pytest.raises(DataError, match=re.escape(str(exc))):
+            ingest_csv(path, config)
+        return
+    got = ingest_csv(path, config)
+    assert got.names == header
+    for name in header:
+        kind, vals = columns[name]
+        assert got.kind(name) == kind
+        if kind == "numeric":
+            assert got.values(name).tobytes() == vals.tobytes()
+        else:
+            assert got.values(name) == vals
+
+
+@settings(max_examples=300)
+@given(raw_tables(), st.integers(1, 3))
+def test_ingest_in_small_chunks_matches_reference(cache_dir, table, chunk_rows):
+    # columns turn to text, and bad dates appear, after the first chunk
+    path = cache_dir / "raw.csv"
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows([table[0]] + table[1])
+    with mock.patch.object(data_module, "INGEST_CHUNK_ROWS", chunk_rows):
+        _assert_ingest_matches_reference(path, make_config())
+
+
+def _long_raw_csv(path, late_cells):
+    """Rows in three chunks; ``late_cells`` maps (chunk, row in the chunk,
+    column) to the cell that replaces the generated one."""
+    size = data_module.INGEST_CHUNK_ROWS
+    rows = [["Fully Paid" if i % 3 else "Charged Off", "Mar-2015" if i % 2 else "2016-01",
+             repr(i * 0.25), "" if i % 7 == 0 else str(i % 5), "A" if i % 4 else ""]
+            for i in range(2 * size + 10)]
+    for (chunk, at, col), cell in late_cells.items():
+        rows[chunk * size + at][col] = cell
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows([["loan_status", "issue_d", "amount", "term", "grade"]] + rows)
+    return path
+
+
+@pytest.mark.parametrize(
+    "late_cells",
+    [
+        {(1, 40, 2): "n/a"},  # amount turns to text in the second chunk
+        {(1, 40, 3): "x", (2, 5, 2): "y"},  # two columns, in two later chunks
+        {(1, 40, 1): "Foo-2015", (2, 5, 1): "Bar-2015"},  # the first bad date is named
+        {(0, 3, 1): "Foo-2015", (2, 5, 2): ""},
+    ],
+    ids=["text-in-chunk-2", "text-in-chunks-2-and-3", "bad-dates-in-chunks-2-and-3",
+         "bad-date-in-chunk-1"],
+)
+def test_ingest_across_chunks_matches_reference(tmp_path, late_cells):
+    path = _long_raw_csv(tmp_path / "raw.csv", late_cells)
+    _assert_ingest_matches_reference(path, make_config())
+
+
+def test_ingest_names_a_ragged_row_before_an_earlier_bad_date(tmp_path):
+    path = _long_raw_csv(tmp_path / "raw.csv", {(0, 3, 1): "Foo-2015"})
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write("Fully Paid,Mar-2015\n")
+    with pytest.raises(DataError, match="ragged CSV row"):
+        ingest_csv(path, make_config())
+
+
+def test_ingest_peak_memory_is_a_small_multiple_of_the_table(tmp_path):
+    import tracemalloc
+
+    n = 20_000
+    rng = np.random.default_rng(5)
+    path = tmp_path / "raw.csv"
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["loan_status", "issue_d", "grade", "a", "b", "c", "d"])
+        for i, vals in enumerate(rng.standard_normal((n, 4)).tolist()):
+            writer.writerow(["Fully Paid" if i % 5 else "Charged Off",
+                             "Mar-2015" if i % 2 else "2016-01", "ABCDE"[i % 5]]
+                            + [repr(v) for v in vals])
+    tracemalloc.start()
+    try:
+        table = ingest_csv(path, make_config())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # arrays, and lists of references to one object per distinct cell
+    size = sum(v.nbytes if isinstance(v, np.ndarray) else 8 * len(v)
+               for _, v in table.columns.values())
+    assert table.n_rows == n
+    assert peak < 3 * size
+
+
 def test_encode_target_filters_and_recodes(tmp_path):
     config = make_config()
     raw = RAW + "Late,2015-06,999,D,650,630\n"
@@ -423,6 +516,27 @@ def test_cached_csv_cells_only_float_reads_load_as_before(tmp_path):
     assert data.y.tolist() == [1.0, 0.0] and data.w.tolist() == [1.0, 2.0]
     assert data.X.tolist() == [[1000.0, 2.5], [-0.0, 3.0]]
     assert np.signbit(data.X[1, 0])
+
+
+def test_cache_load_holds_one_copy_of_the_matrix(tmp_path):
+    import tracemalloc
+
+    rng = np.random.default_rng(11)
+    n, d = 5000, 54
+    data = Dataset(rng.standard_normal((n, d)), (rng.random(n) < 0.2).astype(float),
+                   np.ones(n), [f"f{j}" for j in range(d)])
+    path = tmp_path / "cached.csv"
+    cache_dataset(data, path, tmp_path / "cached.json")
+    tracemalloc.start()
+    try:
+        loaded = load_cached_dataset(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(loaded.X, data.X) and loaded.X.flags.c_contiguous
+    # np.loadtxt's result holds the label and weight columns too, and grows
+    # by a quarter at a time: at most 1.25 * 56 / 54 = 1.30 X
+    assert peak < 1.35 * loaded.X.nbytes
 
 
 # The writer and reader the chunked writer and np.loadtxt reader replaced,

@@ -21,6 +21,7 @@ from glassbox_credit.ebm import (
     _best_segments_1d,
     _grid_sums,
     _region_numbers,
+    _sorted_quantiles,
     build_bins,
     detect_pairs,
     export_pair_grid,
@@ -48,6 +49,40 @@ def test_build_bins_cap():
     cuts = build_bins(X)[0]
     assert len(cuts) <= 255
     assert np.all(np.diff(cuts) > 0)
+
+
+def reference_build_bins(X):
+    """The cuts as build_bins made them with np.unique and np.quantile."""
+    cuts = []
+    for j in range(X.shape[1]):
+        uniq = np.unique(X[:, j])
+        if uniq.size > 256:
+            uniq = np.unique(np.quantile(X[:, j], np.linspace(0.0, 1.0, 257)[1:-1]))
+        cuts.append(0.5 * (uniq[1:] + uniq[:-1]) if uniq.size > 1 else np.empty(0))
+    return cuts
+
+
+def _bin_column(n, kind, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "distinct":
+        return rng.standard_normal(n) * 10.0 ** rng.integers(-6, 7)
+    if kind == "constant":
+        return np.full(n, rng.standard_normal())
+    # ties, with -0.0 and 0.0 among them
+    pool = np.concatenate([[-0.0, 0.0], np.round(rng.standard_normal(rng.integers(1, 600)), 2)])
+    return rng.choice(pool, n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 3000), st.sampled_from(["distinct", "ties", "constant"]),
+       st.integers(0, 2**32 - 1))
+def test_sorted_quantiles_and_bins_match_numpy(n, kind, seed):
+    x = _bin_column(n, kind, seed)
+    qs = np.concatenate([[0.0], np.linspace(0.0, 1.0, 257)[1:-1], [1.0]])
+    got, want = _sorted_quantiles(np.sort(x), qs), np.quantile(x, qs)
+    assert np.array_equal(got, want)
+    assert got[want != 0].tobytes() == want[want != 0].tobytes()  # zeros may differ in sign
+    assert build_bins(x[:, None])[0].tobytes() == reference_build_bins(x[:, None])[0].tobytes()
 
 
 def test_bin_index_convention():

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -147,6 +148,25 @@ def test_sweep_pairs_caps_counts_at_the_pairs_that_exist(small_splits, ranked, m
     assert report.config["pair_counts"] == [0, 2, 3]
     assert fitted == [2, 3]
     assert len(report.meta["pair_candidates"]) == 3
+
+
+def test_sweep_pairs_holds_one_pair_model_at_a_time(small_splits, ranked, monkeypatch):
+    # each pair model is dropped before the next pair count is fitted
+    train, test = small_splits
+    _, ranking = ranked
+    fitted, alive = [], []
+    real = pipeline.fit_pairs
+
+    def tracking(data, model, pairs, config=None):
+        alive.append(sum(ref() is not None for ref in fitted))
+        result = real(data, model, pairs, config)
+        fitted.append(weakref.ref(result))
+        return result
+
+    monkeypatch.setattr(pipeline, "fit_pairs", tracking)
+    sweep_interactions(train, test, ranking, 4, [0, 1, 2, 3], {"rounds": 30})
+    assert alive == [0, 0, 0]
+    assert [ref() for ref in fitted] == [None, None, None]
 
 
 def _toy_ranked(names):
