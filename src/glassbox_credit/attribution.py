@@ -16,9 +16,12 @@ Two routes to the same quantity, deliberately kept independent:
   computing every (row, leaf) follow pattern with numpy and evaluating all
   of those games at once in closed form, with no Python loop per row. This
   is the Fast TreeSHAP idea (Yang 2021) applied to Lundberg et al.'s
-  path-dependent TreeSHAP, with no per-leaf tables: only each tree's leaf
-  paths in array form are kept, built on its first attribution and never
-  persisted. ``tree_shap`` is its one-row form.
+  path-dependent TreeSHAP, with no per-leaf tables. Every leaf of the
+  forest sits in one slot table (GPUTreeShap's layout: Mitchell, Frank &
+  Wilkinson 2022), which the model's node table builds on the first
+  attribution and keeps; it is never persisted. The games of all trees are
+  evaluated together, and each tree's values are added in tree order.
+  ``tree_shap`` is its one-row form.
 
 Both operate in margin (log-odds) space, where attributions are additive
 across trees. ``global_importance`` averages |phi| over a sample to produce
@@ -29,14 +32,13 @@ per-row values. Rows with NaN or infinite values raise DataError.
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data import Dataset, check_matrix, write_atomic
 from .errors import DataError
-from .gbdt import _LEAF, GbdtModel, Tree
+from .gbdt import _LEAF, GbdtModel, Tree, tree_sums
 from .ranking import RankedFeatures, rank_from_scores
 
 EXACT_MAX_FEATURES = 15
@@ -154,44 +156,35 @@ def shapley_exact(model: GbdtModel, x) -> Attribution:
 # explained by evaluating one game per (row, leaf) with numpy.
 
 # Evaluated (row, leaf, slot) entries, or gathered path splits if more, per
-# row chunk. It bounds transient memory: the largest chunk array, the games'
-# suffix sums, holds width times as many floats (128 KB at depth 4).
+# piece of rows. It bounds transient memory: the largest piece array, the
+# games' suffix sums, holds width times as many floats (128 KB at depth 4).
+# It also sets the blocks of ``_shap_chunks``: CHUNK_ENTRIES over the entries
+# or splits of the largest tree. A row's values do not depend on its block,
+# but ``global_importance`` adds |phi| up block by block, so its sums, and
+# the rankings made from them, do.
 CHUNK_ENTRIES = 1 << 12
 
 
-@dataclass
-class _LeafSlots:
-    """The leaves of one tree. Leaf ``i`` keeps its distinct path features in
-    slots ``0 .. m_i - 1``; slots up to ``width`` are null players (cover
-    ratio 1, always followed), which leave the others' values unchanged and
-    get exactly 0."""
-
-    split_feature: np.ndarray  # (n_splits,) every split on every leaf path, leaf by leaf
-    split_threshold: np.ndarray
-    split_left: np.ndarray  # the path takes the left branch
-    split_slot: np.ndarray  # flat (leaf, slot) index of the split's feature
-    slot_feature: np.ndarray  # (n_leaves, width) feature per slot; 0 for a null slot
-    zero: np.ndarray  # (n_leaves, width) product of the cover ratios per slot
-    value: np.ndarray  # (n_leaves,) leaf value
-
-
-def _product_game_shap(value, zero, one) -> np.ndarray:
+def _product_game_shap(value, zero, one, weights) -> np.ndarray:
     """Shapley values of the games ``v * prod_{j in S} one_j *
     prod_{j not in S} zero_j``, one game per column of ``zero``/``one``
-    (M, P): (M, P) values, player by game.
+    (M, P): (M, P) values, player by game. ``weights`` (M, P) holds each
+    game's Shapley weights ``w_s = s! (m - s - 1)! / m!`` for its own number
+    of players m, then zeros; its players past m must have ``zero = 1`` and
+    ``one = 0``, which leaves the others' values as those of the m-player
+    game, bit for bit.
 
     Player k gets ``v (one_k - zero_k) sum_s w_s c_s`` with ``c_s`` the
     coefficients of ``prod_{j != k} (zero_j + one_j t)`` (elementary symmetric
-    polynomials) and ``w_s = s! (M - s - 1)! / M!``. The product splits into
-    the players before k, with coefficients ``head[k][a]``, and those after
-    k; ``rest[k][a]`` holds ``sum_b w_(a+b) c_b`` of the latter, so no
-    coefficient is divided out. Every operation is elementwise per game, so
-    a game's values do not depend on the other games.
+    polynomials). The product splits into the players before k, with
+    coefficients ``head[k][a]``, and those after k; ``rest[k][a]`` holds
+    ``sum_b w_(a+b) c_b`` of the latter, so no coefficient is divided out.
+    Every operation is elementwise per game, so a game's values do not
+    depend on the other games.
     """
     M, P = zero.shape
-    fact = [math.factorial(s) for s in range(M + 1)]
     rest = np.zeros((M, M, P))
-    rest[M - 1] = np.array([fact[s] * fact[M - s - 1] / fact[M] for s in range(M)])[:, None]
+    rest[M - 1] = weights
     for k in range(M - 1, 0, -1):
         rest[k - 1, :-1] = zero[k] * rest[k, :-1] + one[k] * rest[k, 1:]
     head = np.zeros((M, M, P))
@@ -202,87 +195,71 @@ def _product_game_shap(value, zero, one) -> np.ndarray:
     return value * (one - zero) * (head * rest).sum(axis=1)
 
 
-def _leaf_slots(tree: Tree) -> _LeafSlots | None:
-    """The tree's leaves in slot form; None for a single-leaf tree, which
-    attributes nothing."""
-    leaves = []
-    for value, path in _leaf_paths(tree):
-        slots: dict[int, int] = {}
-        zero: list[float] = []
-        for f, _, _, ratio in path:
-            if slots.setdefault(f, len(slots)) == len(zero):
-                zero.append(1.0)
-            zero[slots[f]] *= ratio
-        leaves.append((value, path, slots, zero))
-    width = max(len(zero) for *_, zero in leaves)
-    if width == 0:
-        return None
-    splits = [
-        (f, thr, left, i * width + slots[f])
-        for i, (_, path, slots, _) in enumerate(leaves)
-        for f, thr, left, _ in path
-    ]
-    feature, threshold, left, slot = zip(*splits)
-    return _LeafSlots(
-        split_feature=np.array(feature, dtype=np.intp),
-        split_threshold=np.array(threshold, dtype=float),
-        split_left=np.array(left, dtype=bool),
-        split_slot=np.array(slot, dtype=np.intp),
-        slot_feature=np.array(
-            [[*slots] + [0] * (width - len(slots)) for *_, slots, _ in leaves], dtype=np.intp
-        ),
-        zero=np.array([zero + [1.0] * (width - len(zero)) for *_, zero in leaves]),
-        value=np.array([v for v, *_ in leaves], dtype=float),
-    )
+class _Games:
+    """The (row, leaf) games of the forest for pieces of up to ``rows``
+    rows, laid out row by row once per call: each game's value, cover
+    ratios, Shapley weights and live slots (slot by game), and the bins of
+    each row's path splits and slot values."""
 
+    def __init__(self, model: GbdtModel, rows: int):
+        t = self.t = model.table.leaf_slots
+        self.n_trees, self.d = len(model.table.start), model.d
+        width = t.zero.shape[1]
+        fact = [math.factorial(s) for s in range(width + 1)]
+        by_players = [[fact[s] * fact[m - s - 1] / fact[m] if s < m else 0.0 for s in range(width)]
+                      for m in range(width + 1)]
+        weights = np.array(by_players).reshape(width + 1, width)[t.width]
+        self.value = np.tile(t.value, rows)
+        self.zero, self.weights = np.tile(t.zero.T, rows), np.tile(weights.T, rows)
+        # slots past the width of the leaf's tree are players absent from its game
+        self.live = np.tile(np.arange(width) < t.width[:, None], (rows, 1))
+        row = np.arange(rows)[:, None]
+        self.split_bins = (row * t.zero.size + t.split_slot).reshape(-1)
+        # a slot without a feature lands in its tree's bin 0, which is dropped
+        cells = t.tree[:, None] * (self.d + 1) + t.slot_feature + 1
+        self.cells = (row * (self.n_trees * (self.d + 1)) + cells.reshape(-1)).reshape(-1)
 
-def _tree_phi(t: _LeafSlots, X: np.ndarray, d: int) -> np.ndarray:
-    """(n, d) leaf-value-unit attributions of one tree for the rows of X."""
-    n = X.shape[0]
-    n_leaves, width = t.zero.shape
-    missed = (X[:, t.split_feature] < t.split_threshold) != t.split_left
-    # a slot is followed when none of its splits is missed; null slots always are
-    bins = (np.arange(n)[:, None] * t.zero.size + t.split_slot).reshape(-1)
-    follows = np.bincount(bins, weights=missed.reshape(-1), minlength=n * t.zero.size) == 0
-    one = follows.reshape(n * n_leaves, width).T.astype(float)
-    phi = _product_game_shap(np.tile(t.value, n), np.tile(t.zero.T, n), one)
-    # bincount adds in input order, so a row's sums do not depend on the chunk;
-    # a null slot's value is +-0, which leaves its feature's sum unchanged
-    bins = (np.arange(n)[:, None] * d + t.slot_feature.reshape(-1)).reshape(-1)
-    return np.bincount(bins, weights=phi.T.reshape(-1), minlength=n * d).reshape(n, d)
-
-
-# (mean value, slot form) per tree, built on the tree's first attribution and
-# kept while the tree lives (never at fit or load, never persisted). It assumes
-# trees are not edited after fit or load, which no code does: an edited tree
-# keeps its entry.
-_SLOTS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
-def _tree_cache(tree: Tree) -> tuple[float, _LeafSlots | None]:
-    if tree not in _SLOTS:
-        _SLOTS[tree] = (tree.mean_value(), _leaf_slots(tree))
-    return _SLOTS[tree]
+    def phi(self, X: np.ndarray) -> np.ndarray:
+        """(n, d) leaf-value-unit attributions of the rows of X. Each tree's
+        values go into (row, tree, feature) bins, which are then added up in
+        tree order."""
+        t, n = self.t, X.shape[0]
+        games = n * len(t.value)
+        if not t.zero.size:  # no tree splits
+            return np.zeros((n, self.d))
+        missed = (X[:, t.split_feature] < t.split_threshold) != t.split_left
+        # a slot is followed when none of its splits is missed
+        follows = np.bincount(self.split_bins[:missed.size], weights=missed.reshape(-1),
+                              minlength=n * t.zero.size) == 0
+        one = (follows.reshape(games, -1) & self.live[:games]).T.astype(float, order="C")
+        phi = _product_game_shap(
+            self.value[:games], self.zero[:, :games], one, self.weights[:, :games]
+        )
+        # bincount adds in input order, so a row's sums do not depend on the piece
+        per_tree = np.bincount(self.cells[:phi.size], weights=phi.T.reshape(-1),
+                               minlength=n * self.n_trees * (self.d + 1))
+        return np.cumsum(per_tree.reshape(n, self.n_trees, -1)[:, :, 1:], axis=1)[:, -1]
 
 
 def _shap_chunks(model: GbdtModel, X):
-    """(row slice, phi) per chunk of rows of X, phi in margin units. A row's
-    values are the same whatever else is in its chunk. NaN or infinite
+    """(row slice, phi) per block of rows of X, phi in margin units. A row's
+    values are the same whatever else is in its block. NaN or infinite
     values raise DataError."""
-    d = model.d
-    X = check_matrix(X, d)
-    trees = [t for _, t in map(_tree_cache, model.trees) if t is not None]
-    cost = max((max(t.zero.size, t.split_feature.size) for t in trees), default=1)
-    step = max(1, CHUNK_ENTRIES // cost)
-    for lo in range(0, X.shape[0], step):
-        rows = slice(lo, lo + step)
-        chunk = X[rows]
-        phi = np.zeros((chunk.shape[0], d))
-        for t in trees:
-            phi += _tree_phi(t, chunk, d)
+    X = check_matrix(X, model.d)
+    t = model.table.leaf_slots
+    # a block's rows: CHUNK_ENTRIES over the largest tree's entries or splits
+    split_leaf = t.split_slot // max(1, t.zero.shape[1])
+    largest = max(np.bincount(t.tree, weights=t.width).max(initial=1),
+                  np.bincount(t.tree[split_leaf]).max(initial=1))
+    block = max(1, CHUNK_ENTRIES // int(largest))
+    piece = max(1, CHUNK_ENTRIES // max(1, t.zero.size, t.split_feature.size))
+    games = _Games(model, min(piece, block, X.shape[0]))
+    for lo in range(0, X.shape[0], block):
+        chunk = X[lo:lo + block]
+        phi = np.concatenate([games.phi(chunk[i:i + piece]) for i in range(0, chunk.shape[0], piece)])
         # phi collected in leaf-value units; shrinkage applies once per model
         phi *= model.eta
-        yield rows, phi
+        yield slice(lo, lo + block), phi
 
 
 def tree_shap_batch(model: GbdtModel, X) -> np.ndarray:
@@ -294,10 +271,7 @@ def tree_shap_batch(model: GbdtModel, X) -> np.ndarray:
 
 def _base_value(model: GbdtModel) -> float:
     """E[f(x)] under the tree covers: the attribution base value."""
-    base = model.base_score
-    for tree in model.trees:
-        base += model.eta * _tree_cache(tree)[0]
-    return float(base)
+    return float(tree_sums(model.base_score, model.eta, model.table.means))
 
 
 def tree_shap(model: GbdtModel, x) -> Attribution:

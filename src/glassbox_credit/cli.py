@@ -20,6 +20,7 @@ from .data import (
     cache_dataset,
     load_cached_dataset,
     prepare,
+    read_json,
     read_raw_csv,
     write_atomic,
 )
@@ -42,14 +43,8 @@ from .ranking import METHODS, RankedFeatures
 PLTR_FEATURE_WARNING = 40
 
 
-def _read_json(path):
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
-
-
 def _read_ranking(path) -> RankedFeatures:
-    with open(path, encoding="utf-8") as fh:
-        return RankedFeatures.from_json(fh.read())
+    return RankedFeatures.from_dict(read_json(path))
 
 
 def _write(path, text):
@@ -98,7 +93,7 @@ def cmd_synth(args) -> int:
 def cmd_train(args) -> int:
     train = load_cached_dataset(args.train)
     test = load_cached_dataset(args.test)
-    config = _read_json(args.model_config) if args.model_config else None
+    config = read_json(args.model_config) if args.model_config else None
     _warn_pltr_size(args.kind, train.d)
     model, report = step1_train_base(train, test, args.kind, config, args.threshold)
     persist.save_model(model, args.out_model)
@@ -120,7 +115,7 @@ def cmd_reduce_train(args) -> int:
     train = load_cached_dataset(args.train)
     test = load_cached_dataset(args.test)
     ranked = _read_ranking(args.ranking)
-    config = _read_json(args.model_config) if args.model_config else None
+    config = read_json(args.model_config) if args.model_config else None
     _warn_pltr_size(args.kind, args.k)
     model, report = step3_train_reduced(
         train, test, ranked, args.k, args.kind, config, args.threshold
@@ -134,7 +129,7 @@ def cmd_sweep_k(args) -> int:
     train = load_cached_dataset(args.train)
     test = load_cached_dataset(args.test)
     ranked = _read_ranking(args.ranking)
-    configs = _read_json(args.model_config) if args.model_config else None
+    configs = read_json(args.model_config) if args.model_config else None
     report = sweep_k(
         train,
         test,
@@ -155,7 +150,7 @@ def cmd_sweep_pairs(args) -> int:
     train = load_cached_dataset(args.train)
     test = load_cached_dataset(args.test)
     ranked = _read_ranking(args.ranking)
-    config = _read_json(args.model_config) if args.model_config else None
+    config = read_json(args.model_config) if args.model_config else None
     report = sweep_interactions(
         train, test, ranked, args.k, args.pairs, config, args.threshold
     )
@@ -241,8 +236,7 @@ def cmd_export_shape(args) -> int:
 
 
 def cmd_run(args) -> int:
-    config = _read_json(args.config) if args.config else {}
-    run_full(config, args.out_dir)
+    run_full(args.config or {}, args.out_dir)
     print(f"experiment complete; manifest at {args.out_dir}/manifest.json")
     return 0
 

@@ -23,12 +23,14 @@ import csv
 import itertools
 import json
 import math
+import numbers
 import os
 import secrets
 import stat
+import typing
 import warnings
 from collections import Counter
-from dataclasses import asdict, dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from datetime import date, datetime
 
 import numpy as np
@@ -70,21 +72,62 @@ class PrepConfig:
 
     @classmethod
     def from_json_file(cls, path) -> "PrepConfig":
-        with open(path, encoding="utf-8") as fh:
-            obj = json.load(fh)
-        return cls(
-            target=obj["target"],
-            positive_label=obj["positive_label"],
-            negative_label=obj["negative_label"],
-            date_column=obj["date_column"],
-            split_cutoff=obj["split_cutoff"],
-            categorical=list(obj.get("categorical", [])),
-            imputation=obj.get("imputation", "mean"),
-            engineer_fico=bool(obj.get("engineer_fico", True)),
-        )
+        """The prep config in the JSON file at ``path``. DataError, naming
+        the key, for an unknown key, a missing required key or a value of
+        another type than the field's."""
+        obj = read_json(path)
+        hints = typing.get_type_hints(cls)
+        check_config("prep", obj, {name: typing.get_origin(t) or t for name, t in hints.items()})
+        for f in fields(cls):
+            if f.name not in obj and f.default is MISSING and f.default_factory is MISSING:
+                raise DataError(f"prep config lacks key {f.name!r}")
+        if not all(isinstance(c, str) for c in obj.get("categorical", [])):
+            raise DataError(f"prep config key 'categorical' must list str, got {obj['categorical']!r}")
+        return cls(**obj)
 
     def as_dict(self) -> dict:
         return asdict(self)
+
+
+def check_keys(what: str, overrides, keys) -> None:
+    if not isinstance(overrides, dict):
+        raise DataError(f"{what} config must be an object, got {overrides!r}")
+    for key in overrides:
+        if key not in keys:
+            raise DataError(f"{what} config has unknown key {key!r}; options: {', '.join(keys)}")
+
+
+# the values a config field of each default's type takes (bools aside)
+_ACCEPTS = {int: numbers.Integral, float: numbers.Real, bool: bool, str: str, list: list}
+
+
+def check_config(what: str, overrides, types: dict) -> None:
+    """DataError unless ``overrides`` is an object whose every key is in
+    ``types`` (key -> the type of its default) and whose every value has its
+    key's type: an int takes ints but not bools, a float ints or floats, a
+    bool bools, a str strings and a list lists."""
+    check_keys(what, overrides, types)
+    for key, value in overrides.items():
+        want = types[key]
+        if not isinstance(value, _ACCEPTS[want]) or (want is not bool and isinstance(value, bool)):
+            raise DataError(f"{what} config key {key!r} must be {want.__name__}, got {value!r}")
+
+
+def _not_utf8(path, exc: UnicodeDecodeError, error=DataError) -> Exception:
+    """The error for a file that is not UTF-8 text."""
+    return error(f"{path}: not UTF-8 text ({exc.reason})")
+
+
+def read_json(path, error=DataError):
+    """The JSON value in the UTF-8 file at ``path``; ``error`` naming the
+    file when it is not UTF-8 text or not JSON."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(path, exc, error) from None
+    except json.JSONDecodeError as exc:
+        raise error(f"{path}: not valid JSON: {exc}") from None
 
 
 def parse_date(text: str) -> date | None:
@@ -245,6 +288,8 @@ def ingest_csv(path, config: PrepConfig) -> RawTable:
                         cols[i].add([row[i] for row in chunk])
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(path, exc) from None
     return RawTable(header, {name: col.result() for name, col in zip(header, cols)})
 
 
@@ -601,11 +646,19 @@ def _pack_features(arr: np.ndarray) -> np.ndarray:
     return flat[:n * d].reshape(n, d)
 
 
+def _bad_line(csv_path, reader, exc) -> DataError:
+    """DataError naming the line ``reader`` is at, or the file where it is
+    not UTF-8 text: text is decoded ahead of the line being read."""
+    if isinstance(exc, UnicodeDecodeError):
+        return _not_utf8(csv_path, exc)
+    return DataError(f"{csv_path}, line {reader.line_num}: {exc}")
+
+
 def _cached_header(csv_path, reader) -> list[str]:
     try:
         header = next(reader, None)
     except (ValueError, csv.Error) as exc:
-        raise DataError(f"{csv_path}, line {reader.line_num}: {exc}") from None
+        raise _bad_line(csv_path, reader, exc) from None
     if header is None:
         raise DataError(f"{csv_path}: empty file")
     if header[:2] != CACHE_COLUMNS:
@@ -638,7 +691,7 @@ def _read_cached_rows(csv_path, fh) -> np.ndarray:
     try:
         rows = [list(map(float, row)) for row in reader]
     except (ValueError, csv.Error) as exc:
-        raise DataError(f"{csv_path}, line {reader.line_num}: {exc}") from None
+        raise _bad_line(csv_path, reader, exc) from None
     if not rows:
         raise DataError(f"{csv_path}: no data rows")
     for i, row in enumerate(rows):

@@ -18,12 +18,16 @@ lowest threshold: each feature's first argmax over its cuts in ascending
 order, then the first feature whose gain beats every earlier feature's.
 
 A tree is one numpy array per node field (``TREE_FIELDS``), nodes numbered
-in preorder, so both children of a split come after it.
+in preorder, so both children of a split come after it. A model also holds
+all its trees' nodes in one ``NodeTable``, on which every tree is routed,
+averaged and laid out for attribution at once; sums over trees are always
+taken in tree order, so they keep the bits of adding one tree at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -76,7 +80,7 @@ class Tree:
     a split sends a row to ``left[i]`` iff ``x[feature[i]] < threshold[i]``,
     else to ``right[i]``. ``cover`` is the hessian mass that reached each
     node at build time. Nodes are in preorder, so both children of a split
-    lie after it: ``mean_value`` relies on that, and loading checks it."""
+    lie after it; loading checks that."""
 
     def __init__(self, nodes):
         """A tree from a mapping of field name to node values, each copied
@@ -88,31 +92,149 @@ class Tree:
     def n_nodes(self) -> int:
         return len(self.feature)
 
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        """Leaf value per row of X. Every row descends one level per step;
-        a row at a leaf stays there, as if the leaf were its own child."""
-        leaf = self.feature == _LEAF
-        # child[node + n_nodes * go_left], and a leaf compares on column 0
-        child = np.where(leaf, np.arange(self.n_nodes), [self.right, self.left]).ravel()
-        feature = np.where(leaf, 0, self.feature)
-        first = np.arange(X.shape[0]) * X.shape[1]  # flat position of each row's column 0
-        node = np.zeros(X.shape[0], dtype=np.intp)
-        while not leaf[node].all():
-            go_left = X.take(first + feature[node]) < self.threshold[node]
-            node = child[node + self.n_nodes * go_left]
-        return self.value[node]
 
-    def mean_value(self) -> float:
-        """Cover-weighted expectation of the tree with no features known:
-        ``(cl * m_l + cr * m_r) / (cl + cr)`` at each split, children first."""
-        # Python floats: numpy scalar arithmetic is several times slower here
-        feature, left, right = self.feature.tolist(), self.left.tolist(), self.right.tolist()
-        cover, mean = self.cover.tolist(), self.value.tolist()
-        for node in reversed(range(len(feature))):
-            if feature[node] != _LEAF:
-                cl, cr = cover[left[node]], cover[right[node]]
-                mean[node] = (cl * mean[left[node]] + cr * mean[right[node]]) / (cl + cr)
-        return mean[0]
+@dataclass
+class LeafSlots:
+    """Every leaf of a forest, with its root-to-leaf path in slot form,
+    leaves in node order. Leaf ``i`` keeps the distinct features
+    on its path in slots ``0 .. m_i - 1``, in the order the path meets them;
+    a tree's width is the largest ``m_i`` of its leaves. Slots from ``m_i``
+    up to the width of the leaf's tree hold no feature and have cover ratio
+    1, as do the slots past it up to the forest's widest tree."""
+
+    tree: np.ndarray  # (n_leaves,) tree of each leaf
+    width: np.ndarray  # (n_leaves,) width of the leaf's tree
+    value: np.ndarray  # (n_leaves,) leaf value
+    slot_feature: np.ndarray  # (n_leaves, width) feature per slot; -1 for none
+    zero: np.ndarray  # (n_leaves, width) product of the cover ratios per slot
+    split_feature: np.ndarray  # (n_splits,) every split on every leaf path, leaf by leaf
+    split_threshold: np.ndarray
+    split_left: np.ndarray  # the path takes the left branch
+    split_slot: np.ndarray  # flat (leaf, slot) index of the split's feature
+
+
+# (row, tree) pairs routed at a time: chunks bound the routing's temporaries
+ROUTE_CELLS = 1 << 14
+
+
+class NodeTable:
+    """The nodes of every tree of a forest in one array per ``TREE_FIELDS``
+    entry: tree ``t`` holds nodes ``start[t]`` to ``start[t] + size[t] - 1``
+    in its own order, and a split's ``left`` and ``right`` index the table.
+    Built from the trees as they are at the time; the tables derived from
+    it (levels, tree means, leaf slots) are built on first use."""
+
+    def __init__(self, trees):
+        self.size = np.array([t.n_nodes for t in trees], dtype=np.intp)
+        self.start = np.cumsum(self.size) - self.size
+        self.tree = np.repeat(np.arange(len(trees)), self.size)  # tree of each node
+        for name, dtype, _ in TREE_FIELDS:
+            arrays = [getattr(t, name) for t in trees]
+            setattr(self, name, np.concatenate([np.empty(0, dtype), *arrays]))
+        split = self.feature != _LEAF
+        self.left[split] += self.start[self.tree[split]]
+        self.right[split] += self.start[self.tree[split]]
+
+    @cached_property
+    def levels(self) -> list[np.ndarray]:
+        """The nodes at each depth of every tree, roots first."""
+        levels, level = [], self.start
+        while level.size:
+            levels.append(level)
+            split = level[self.feature[level] != _LEAF]
+            level = np.concatenate([self.left[split], self.right[split]])
+        return levels
+
+    def route(self, X: np.ndarray) -> np.ndarray:
+        """(trees, rows) the leaf each row of X reaches in each tree. Every
+        (tree, row) pair descends one level per step, ``ROUTE_CELLS`` pairs
+        at a time; a pair at a leaf stays there."""
+        leaf = self.feature == _LEAF
+        # child[node + n_nodes * go_left], and a leaf, its own child, compares on column 0
+        child = np.where(leaf, np.arange(len(leaf)), [self.right, self.left]).ravel()
+        feature = np.where(leaf, 0, self.feature)
+        n, n_trees = X.shape[0], len(self.start)
+        out = np.empty((n_trees, n), dtype=np.intp)
+        step = max(1, ROUTE_CELLS // max(1, n_trees))
+        for lo in range(0, n, step):
+            chunk = X[lo:lo + step]
+            first = np.arange(chunk.shape[0]) * X.shape[1]  # flat column 0 of each row
+            node = np.repeat(self.start[:, None], chunk.shape[0], axis=1)
+            for _ in self.levels[1:]:
+                at = feature.take(node)
+                at += first
+                go_left = chunk.take(at) < self.threshold.take(node)
+                node += len(feature) * go_left
+                node = child.take(node)
+            out[:, lo:lo + step] = node
+        return out
+
+    @cached_property
+    def means(self) -> np.ndarray:
+        """Each tree's cover-weighted expectation with no features known:
+        ``(cl * m_l + cr * m_r) / (cl + cr)`` at each split, deepest first."""
+        mean = self.value.copy()
+        for level in reversed(self.levels):
+            split = level[self.feature[level] != _LEAF]
+            left, right = self.left[split], self.right[split]
+            cl, cr = self.cover[left], self.cover[right]
+            mean[split] = (cl * mean[left] + cr * mean[right]) / (cl + cr)
+        return mean[self.start]
+
+    @cached_property
+    def leaf_slots(self) -> LeafSlots:
+        """Every leaf of the forest in slot form."""
+        # [node, j]: the node at depth j on the root-to-node path
+        on_the_way = np.full((len(self.feature), len(self.levels)), _LEAF)
+        for j, level in enumerate(self.levels):
+            on_the_way[level, j] = level
+            split = level[self.feature[level] != _LEAF]
+            on_the_way[self.left[split]] = on_the_way[self.right[split]] = on_the_way[split]
+        leaves = np.flatnonzero(self.feature == _LEAF)
+        # each leaf's splits by depth, and the child each leads to
+        path, taken = on_the_way[leaves, :-1], on_the_way[leaves, 1:]
+        on_path = taken != _LEAF
+        features = np.where(on_path, self.feature[path], _LEAF)
+        # a path feature's slot: the number of distinct features the path
+        # meets before its first split on that feature
+        same = features[:, :, None] == features[:, None, :]
+        new = on_path & ~(same & np.tri(path.shape[1], k=-1, dtype=bool)).any(axis=2)
+        rank = np.cumsum(new, axis=1) - 1
+        slot = np.where(same & new[:, None, :], rank[:, None, :], _LEAF).max(axis=2, initial=_LEAF)
+        tree_width = np.zeros(len(self.start), dtype=np.intp)
+        np.maximum.at(tree_width, self.tree[leaves], new.sum(axis=1))
+        width = tree_width.max(initial=0)
+        leaf_of_split, depth_of_split = np.nonzero(on_path)  # leaf by leaf, root first
+        split, taken, slot_of_split = path[on_path], taken[on_path], slot[on_path]
+        left, right = self.left[split], self.right[split]
+        ratio = self.cover[taken] / (self.cover[left] + self.cover[right])
+        zero = np.ones((len(leaves), width))
+        for j in range(path.shape[1]):
+            at = depth_of_split == j  # one split per leaf: multiplied in path order
+            zero[leaf_of_split[at], slot_of_split[at]] *= ratio[at]
+        slot_feature = np.full((len(leaves), width), _LEAF)
+        slot_feature[np.nonzero(new)[0], slot[new]] = features[new]
+        return LeafSlots(
+            tree=self.tree[leaves],
+            width=tree_width[self.tree[leaves]],
+            value=self.value[leaves],
+            slot_feature=slot_feature,
+            zero=zero,
+            split_feature=self.feature[split],
+            split_threshold=self.threshold[split],
+            split_left=left == taken,
+            split_slot=leaf_of_split * width + slot_of_split,
+        )
+
+
+def tree_sums(base: float, eta: float, values: np.ndarray) -> np.ndarray:
+    """``base + eta * v_1 + eta * v_2 + ...`` over the first axis of
+    ``values``, one entry per tree, added in tree order: the sums that adding
+    one tree at a time gives, bit for bit."""
+    terms = np.empty((values.shape[0] + 1, *values.shape[1:]))
+    terms[0] = base
+    np.multiply(eta, values, out=terms[1:])
+    return np.cumsum(terms, axis=0, out=terms)[-1]
 
 
 @dataclass
@@ -125,6 +247,11 @@ class GbdtModel:
     max_depth: int
     feature_names: list[str]
     config: dict = field(default_factory=dict)
+    # every tree's nodes in one table, built from ``trees`` at construction
+    table: NodeTable = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.table = NodeTable(self.trees)
 
     @property
     def d(self) -> int:
@@ -132,10 +259,7 @@ class GbdtModel:
 
     def predict_margin(self, X) -> np.ndarray:
         X = check_matrix(X, self.d)
-        margin = np.full(X.shape[0], self.base_score)
-        for tree in self.trees:
-            margin += self.eta * tree.predict(X)
-        return margin
+        return tree_sums(self.base_score, self.eta, self.table.value[self.table.route(X)])
 
     def predict_proba(self, X) -> np.ndarray:
         return sigmoid(self.predict_margin(X))
@@ -301,10 +425,10 @@ def importance_native(model: GbdtModel, kind: str) -> dict[str, float]:
     counts. Features never used score 0."""
     if kind not in ("gain", "cover", "frequency"):
         raise DataError(f"unknown importance kind {kind!r}")
+    table = model.table
+    split = table.feature != _LEAF
+    weight = 1.0 if kind == "frequency" else getattr(table, kind)[split]
     scores = np.zeros(model.d)
-    for tree in model.trees:
-        split = tree.feature != _LEAF
-        weight = 1.0 if kind == "frequency" else getattr(tree, kind)[split]
-        # unbuffered and in node order: the same sums as adding node by node
-        np.add.at(scores, tree.feature[split], weight)
+    # unbuffered and in node order: the same sums as adding node by node
+    np.add.at(scores, table.feature[split], weight)
     return dict(zip(model.feature_names, scores.tolist()))

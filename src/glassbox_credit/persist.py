@@ -13,7 +13,7 @@ import json
 import numpy as np
 
 from . import __version__
-from .data import write_atomic
+from .data import read_json, write_atomic
 from .errors import ModelFormatError
 from .ebm import EbmModel, PairTerm
 from .gbdt import _LEAF, TREE_FIELDS, GbdtModel, Tree
@@ -85,41 +85,38 @@ def _gbdt_payload(model: GbdtModel) -> dict:
     }
 
 
-def _check_trees(trees: list[Tree], d: int) -> None:
-    """Reject trees that predict would index out of range or loop in, or
+def _check_trees(model: GbdtModel) -> None:
+    """Reject trees that routing would index out of range or loop in, or
     that hold a non-finite number. Trees are stored in preorder, so both
     children of an internal node lie after it; requiring that rules out
-    cycles. The nodes of all trees are checked at once."""
-    sizes = [t.n_nodes for t in trees]
-    shapes = [(n,) for n in sizes]
-    if 0 in sizes or any([getattr(t, f).shape for t in trees] != shapes for f, *_ in TREE_FIELDS):
-        raise ModelFormatError("tree node arrays are empty or of unequal length")
-    if not trees:
-        return
-    feature, left, right = (
-        np.concatenate([getattr(t, f) for t in trees]) for f in ("feature", "left", "right")
-    )
-    of = np.repeat(np.arange(len(trees)), sizes)  # tree of each node
-    n = np.repeat(sizes, sizes)
-    i = np.arange(len(of)) - np.repeat(np.cumsum(sizes) - sizes, sizes)  # index in its tree
-    bad = (feature < _LEAF) | (feature >= d)
+    cycles. The checks read the model's node table, which holds the nodes
+    of every tree, child indices offset by the tree's first node."""
+    table, d = model.table, model.d
+    node = np.arange(len(table.feature))
+    first = table.start[table.tree]  # the first node of each node's tree
+    bad = (table.feature < _LEAF) | (table.feature >= d)
     if bad.any():
         k = bad.argmax()
-        raise ModelFormatError(f"tree {of[k]} node {i[k]} splits on {feature[k]}, outside [0, {d})")
-    bad = (feature != _LEAF) & ((np.minimum(left, right) <= i) | (np.maximum(left, right) >= n))
+        raise ModelFormatError(
+            f"tree {table.tree[k]} node {k - first[k]} splits on {table.feature[k]}, outside [0, {d})"
+        )
+    left, right, end = table.left, table.right, first + table.size[table.tree]
+    bad = (table.feature != _LEAF) & ((np.minimum(left, right) <= node) | (np.maximum(left, right) >= end))
     if bad.any():
         k = bad.argmax()
-        raise ModelFormatError(f"tree {of[k]} node {i[k]} has children outside ({i[k]}, {n[k]})")
+        i, n = k - first[k], table.size[table.tree[k]]
+        raise ModelFormatError(f"tree {table.tree[k]} node {i} has children outside ({i}, {n})")
     floats = [f for f, dtype, _ in TREE_FIELDS if dtype is np.float64]
-    values = np.concatenate([getattr(t, f) for f in floats for t in trees])
-    _require_finite(f"tree {', '.join(floats)}", values)
+    _require_finite(f"tree {', '.join(floats)}", [getattr(table, f) for f in floats])
 
 
 def _gbdt_restore(body: dict) -> GbdtModel:
     _require_finite("gbdt base_score and eta", [body["base_score"], body["eta"]])
     trees = [Tree(nodes) for nodes in body["trees"]]
-    _check_trees(trees, len(body["feature_names"]))
-    return GbdtModel(
+    shapes = [(t.n_nodes,) for t in trees]
+    if (0,) in shapes or any([getattr(t, f).shape for t in trees] != shapes for f, *_ in TREE_FIELDS):
+        raise ModelFormatError("tree node arrays are empty or of unequal length")
+    model = GbdtModel(
         trees=trees,
         base_score=body["base_score"],
         eta=body["eta"],
@@ -129,6 +126,8 @@ def _gbdt_restore(body: dict) -> GbdtModel:
         feature_names=list(body["feature_names"]),
         config=dict(body.get("config", {})),
     )
+    _check_trees(model)
+    return model
 
 
 def _ebm_payload(model: EbmModel) -> dict:
@@ -294,9 +293,4 @@ def from_envelope(env: dict):
 
 
 def load_model(path):
-    try:
-        with open(path, encoding="utf-8") as fh:
-            env = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ModelFormatError(f"not valid JSON: {exc}") from exc
-    return from_envelope(env)
+    return from_envelope(read_json(path, ModelFormatError))

@@ -15,7 +15,6 @@ import dataclasses
 import hashlib
 import inspect
 import json
-import numbers
 import os
 from dataclasses import asdict, dataclass, field
 
@@ -27,7 +26,10 @@ from .data import (
     Dataset,
     PrepConfig,
     apply_class_weights,
+    check_config,
+    check_keys,
     prepare,
+    read_json,
     read_raw_csv,
     write_atomic,
     zscore,
@@ -124,34 +126,10 @@ def feature_hash(names) -> str:
     return digest[:16]
 
 
-def _check_keys(what: str, overrides, keys) -> None:
-    if not isinstance(overrides, dict):
-        raise DataError(f"{what} config must be an object, got {overrides!r}")
-    for key in overrides:
-        if key not in keys:
-            raise DataError(f"{what} config has unknown key {key!r}; options: {', '.join(keys)}")
-
-
-# the values a config field of each default's type takes (bools aside)
-_ACCEPTS = {int: numbers.Integral, float: numbers.Real, bool: bool, str: str}
-
-
-def _check_config(what: str, overrides, types: dict) -> None:
-    """DataError unless ``overrides`` is an object whose every key is in
-    ``types`` (key -> the type of its default) and whose every value has its
-    key's type: an int takes ints but not bools, a float ints or floats, a
-    bool bools and a str strings."""
-    _check_keys(what, overrides, types)
-    for key, value in overrides.items():
-        want = types[key]
-        if not isinstance(value, _ACCEPTS[want]) or (want is not bool and isinstance(value, bool)):
-            raise DataError(f"{what} config key {key!r} must be {want.__name__}, got {value!r}")
-
-
 def _dataclass_config(what: str, cls, overrides):
-    """``cls(**overrides)`` once ``_check_config`` passes them against the
+    """``cls(**overrides)`` once ``check_config`` passes them against the
     types of the fields' defaults."""
-    _check_config(what, overrides, {f.name: type(f.default) for f in dataclasses.fields(cls)})
+    check_config(what, overrides, {f.name: type(f.default) for f in dataclasses.fields(cls)})
     return cls(**overrides)
 
 
@@ -178,9 +156,9 @@ def _model_config(kind: str, overrides):
         return _dataclass_config(kind, GbdtConfig, overrides)
     if kind == "ebm":
         return _dataclass_config(kind, EbmConfig, overrides)
-    _check_keys(kind, overrides, _FIT_TYPES[kind])
+    check_keys(kind, overrides, _FIT_TYPES[kind])
     numeric = {k: v for k, v in overrides.items() if (k, v) != ("lam", "auto")}
-    _check_config(kind, numeric, _FIT_TYPES[kind])
+    check_config(kind, numeric, _FIT_TYPES[kind])
     return dict(overrides)
 
 
@@ -543,8 +521,9 @@ def run_full(config: dict | str, out_dir) -> ExperimentReport:
     need is fitted once.
     """
     if isinstance(config, str):
-        with open(config, encoding="utf-8") as fh:
-            config = json.load(fh)
+        config = read_json(config)
+    if not isinstance(config, dict):
+        raise DataError(f"experiment config must be an object, got {config!r}")
     merged = dict(DEFAULT_EXPERIMENT)
     merged.update(config)
     config = merged

@@ -55,7 +55,10 @@ class RankedFeatures:
 
     @classmethod
     def from_json(cls, text: str) -> "RankedFeatures":
-        obj = json.loads(text)
+        return cls.from_dict(json.loads(text))
+
+    @classmethod
+    def from_dict(cls, obj: dict) -> "RankedFeatures":
         return cls(
             names=[f["name"] for f in obj["features"]],
             scores=[f["score"] for f in obj["features"]],

@@ -31,6 +31,7 @@ from glassbox_credit.pipeline import (
     train_model,
 )
 from glassbox_credit.pltr import assemble_extended, fit_pltr
+from test_gbdt import reference_predict
 
 
 def _random_gbdt(rng, d, rounds, depth, n=300):
@@ -171,7 +172,7 @@ def test_criterion_05_training_loss_monotone():
     margin = np.full(data.n, gbdt.base_score)
     losses = [log_loss(sigmoid(margin), y, w)]
     for tree in gbdt.trees:
-        margin += gbdt.eta * tree.predict(X)
+        margin += gbdt.eta * reference_predict(tree, X)
         losses.append(log_loss(sigmoid(margin), y, w))
     assert all(b <= a for a, b in zip(losses, losses[1:]))
     for tree in gbdt.trees:

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -198,10 +200,13 @@ def hand_built_models(draw):
 
 
 @settings(max_examples=300)
-@given(hand_built_models())
-def test_batch_matches_exact_on_hand_built_trees(case):
+@given(hand_built_models(), st.sampled_from([1, 5, attribution.CHUNK_ENTRIES]))
+def test_batch_matches_exact_on_hand_built_trees(case, chunk_entries):
     model, X = case
     batch = tree_shap_batch(model, X)
+    # small chunks explain the rows a few games at a time
+    with mock.patch.object(attribution, "CHUNK_ENTRIES", chunk_entries):
+        assert tree_shap_batch(model, X).tobytes() == batch.tobytes()
     for i, x in enumerate(X):
         exact = shapley_exact(model, x)
         assert np.abs(batch[i] - exact.values).max() < 1e-9
@@ -218,9 +223,9 @@ def test_deep_trees_explained_in_chunks():
     y = (rng.random(3000) < 1.0 / (1.0 + np.exp(-X.sum(axis=1)))).astype(float)
     data = Dataset(X, y, np.ones(3000), [f"x{j}" for j in range(8)])
     model = fit_gbdt(data, GbdtConfig(rounds=2, max_depth=10, min_child_cover=0.5))
-    slots = [attribution._leaf_slots(t) for t in model.trees]
-    assert max(t.zero.shape[1] for t in slots) > 4
-    assert max(t.zero.size for t in slots) * 100 > attribution.CHUNK_ENTRIES
+    slots = model.table.leaf_slots
+    assert slots.zero.shape[1] > 4
+    assert slots.zero.size * 100 > attribution.CHUNK_ENTRIES
     batch = tree_shap_batch(model, X[:600])
     margins = model.predict_margin(X[:600])
     base = tree_shap(model, X[0]).base_value
@@ -256,3 +261,30 @@ def test_long_path_sums_to_margin():
     batch = tree_shap_batch(model, X)
     base = tree_shap(model, X[0]).base_value
     assert np.abs(base + batch.sum(axis=1) - model.predict_margin(X)).max() < 1e-9
+
+
+def test_padded_slots_keep_each_trees_values():
+    # trees of depth 1, 3 and 6 and a single leaf: the forest's slot table is
+    # padded to the widest tree, and the single leaf attributes nothing
+    rng = np.random.default_rng(6)
+    X = rng.standard_normal((400, 6))
+    y = (rng.random(400) < 1.0 / (1.0 + np.exp(-X[:, :3].sum(axis=1)))).astype(float)
+    data = Dataset(X, y, np.ones(400), [f"x{j}" for j in range(6)])
+    trees = [fit_gbdt(data, GbdtConfig(rounds=1, max_depth=depth)).trees[0] for depth in (3, 1, 6)]
+    trees.insert(2, Tree({name: [blank] for name, _, blank in TREE_FIELDS}))
+    forest = GbdtModel(trees, 0.1, 0.3, 1.0, 0.0, 6, list(data.feature_names))
+    slots = forest.table.leaf_slots
+    assert len(set(slots.width.tolist())) == 4 and slots.width[slots.tree == 2].tolist() == [0]
+    batch = tree_shap_batch(forest, X[:50])
+    # each tree explained alone, unpadded, then added in tree order
+    expected = np.zeros_like(batch)
+    for tree in trees:
+        expected += tree_shap_batch(GbdtModel([tree], 0.0, 1.0, 1.0, 0.0, 6, forest.feature_names), X[:50])
+    expected *= forest.eta
+    assert batch.tobytes() == expected.tobytes()
+    for i in (0, 17, 49):
+        single = tree_shap(forest, X[i])
+        assert single.values.tobytes() == batch[i].tobytes()
+        exact = shapley_exact(forest, X[i])
+        assert np.abs(single.values - exact.values).max() < 1e-9
+        assert single.base_value == pytest.approx(exact.base_value, abs=1e-12)

@@ -368,3 +368,153 @@ def test_run_rejects_a_malformed_config_before_writing(tmp_path, capsys, changes
     assert code == 2
     assert err.startswith("error:") and "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def raw_inputs(tmp_path_factory):
+    """A small synthetic raw CSV and its prep config."""
+    from glassbox_credit import synth
+
+    root = tmp_path_factory.mktemp("raw")
+    raw, cfg = root / "raw.csv", root / "prep.json"
+    synth.write_csv("additive", raw, cfg, n_train=200, n_test=100)
+    return raw, cfg
+
+
+def _with_byte(data: bytes, at: int) -> bytes:
+    """``data`` with its byte at ``at`` replaced by 0xff, never valid UTF-8."""
+    return data[:at] + b"\xff" + data[at + 1:]
+
+
+def _rejected(capsys, code, path, *outputs):
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and "Traceback" not in err
+    assert str(path) in err
+    for out in outputs:
+        assert not os.path.exists(out)
+    return err
+
+
+def _prepare(raw, cfg, tmp_path):
+    train, test = tmp_path / "train.csv", tmp_path / "test.csv"
+    code = run_cli("prepare", "--input", raw, "--config", cfg, "--out-train", train, "--out-test", test)
+    return code, (train, test)
+
+
+def test_non_utf8_raw_csv_exits_2(raw_inputs, tmp_path, capsys):
+    raw, cfg = raw_inputs
+    data = raw.read_bytes()
+    bad = tmp_path / "raw.csv"
+    bad.write_bytes(_with_byte(data, len(data) - 20))  # in the last row, past the first read
+    code, outputs = _prepare(bad, cfg, tmp_path)
+    assert "not UTF-8" in _rejected(capsys, code, bad, *outputs)
+
+
+def test_non_utf8_prep_config_exits_2(raw_inputs, tmp_path, capsys):
+    raw, cfg = raw_inputs
+    bad = tmp_path / "prep.json"
+    bad.write_bytes(cfg.read_bytes().replace(b"Fully Paid", b"Fully \xffPaid"))
+    code, outputs = _prepare(raw, bad, tmp_path)
+    assert "not UTF-8" in _rejected(capsys, code, bad, *outputs)
+
+
+def test_non_utf8_model_file_exits_2(artifacts, tmp_path, capsys):
+    bad = tmp_path / "model.json"
+    bad.write_bytes(b"\xff\xfe" + artifacts["model"].read_text().encode("utf-16-le"))
+    out = tmp_path / "eval.json"
+    code = run_cli("evaluate", "--model", bad, "--data", artifacts["test"], "--out", out)
+    assert "not UTF-8" in _rejected(capsys, code, bad, out)
+
+
+def test_non_utf8_cached_dataset_names_the_file(artifacts, tmp_path, capsys):
+    data = artifacts["test"].read_bytes()
+    bad = tmp_path / "test.csv"
+    bad.write_bytes(_with_byte(data, len(data) - 5))
+    out = tmp_path / "eval.json"
+    code = run_cli("evaluate", "--model", artifacts["model"], "--data", bad, "--out", out)
+    err = _rejected(capsys, code, bad, out)
+    assert "not UTF-8" in err and "line" not in err
+
+
+@pytest.mark.parametrize(
+    ("text", "message"),
+    [
+        (b'{"dataset": {"preset": "additive"}, "k": 3, "note": "\xff"}', "not UTF-8"),
+        (b'{"k": 3,', "not valid JSON"),
+        (b"[1, 2]", "must be an object"),
+    ],
+    ids=["non-utf8", "malformed", "not-an-object"],
+)
+def test_run_rejects_an_unreadable_config(tmp_path, capsys, text, message):
+    cfg = tmp_path / "exp.json"
+    cfg.write_bytes(text)
+    out = tmp_path / "run"
+    code = run_cli("run", "--config", cfg, "--out-dir", out)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and message in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    ("edit", "message"),
+    [
+        (lambda text, obj: "{" + text, "not valid JSON"),
+        (lambda text, obj: json.dumps(list(obj.values())), "must be an object"),
+        (lambda text, obj: json.dumps({k: v for k, v in obj.items() if k != "positive_label"}),
+         "lacks key 'positive_label'"),
+        (lambda text, obj: json.dumps(dict(obj, split_cutoff=20180101)), "key 'split_cutoff'"),
+        (lambda text, obj: json.dumps(dict(obj, categorical="abc")), "key 'categorical'"),
+        (lambda text, obj: json.dumps(dict(obj, categorical=[1])), "key 'categorical'"),
+        (lambda text, obj: json.dumps(dict(obj, engineer_fico="no")), "key 'engineer_fico'"),
+        (lambda text, obj: json.dumps(dict(obj, engineer_fic=False)), "key 'engineer_fic'"),
+    ],
+    ids=["malformed", "array", "missing-key", "numeric-cutoff", "categorical-string",
+         "categorical-numbers", "fico-string", "unknown-key"],
+)
+def test_prepare_rejects_a_malformed_prep_config(raw_inputs, tmp_path, capsys, edit, message):
+    raw, cfg = raw_inputs
+    text = cfg.read_text()
+    bad = tmp_path / "prep.json"
+    bad.write_text(edit(text, json.loads(text)))
+    code, outputs = _prepare(raw, bad, tmp_path)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and message in err and "Traceback" not in err
+    for out in outputs:
+        assert not out.exists()
+
+
+def test_cli_exits_cleanly_in_dev_mode(tmp_path):
+    """``run`` (pair sweep and refinement included) and ``prepare`` in a
+    fresh interpreter with ``-X dev``, which shows resource and other
+    warnings: each exits 0 and writes nothing to stderr, so no finalizer,
+    weakref callback or unclosed file speaks up at interpreter exit."""
+    from glassbox_credit import synth
+
+    raw, prep = tmp_path / "raw.csv", tmp_path / "prep.json"
+    synth.write_csv("redundant", raw, prep, n_train=300, n_test=200)
+    cfg = tmp_path / "exp.json"
+    cfg.write_text(json.dumps({
+        "dataset": {"train_csv": str(raw), "prep_config": str(prep)},
+        "model_configs": {"gbdt": {"rounds": 5}, "ebm": {"rounds": 30, "pair_rounds": 20}},
+        "k": 6,
+        "reduced_kinds": ["ebm", "pltr"],
+        "sweep_pairs": {"k": 6, "pair_counts": [0, 2]},
+        "refinement": {"pool": 8, "target": 6, "protected": 2, "threshold": 0.7},
+    }))
+    commands = [
+        ("run", "--config", cfg, "--out-dir", tmp_path / "run"),
+        ("prepare", "--input", raw, "--config", prep,
+         "--out-train", tmp_path / "train.csv", "--out-test", tmp_path / "test.csv"),
+    ]
+    for argv in commands:
+        proc = subprocess.run(
+            [sys.executable, "-X", "dev", "-m", "glassbox_credit.cli", *map(str, argv)],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+    assert (tmp_path / "run" / "manifest.json").exists()

@@ -86,7 +86,7 @@ def test_training_loss_monotone_and_gains_positive(tiny_data):
     margin = np.full(tiny_data.n, model.base_score)
     losses.append(log_loss(sigmoid(margin), tiny_data.y, tiny_data.w))
     for tree in model.trees:
-        margin += config.eta * tree.predict(tiny_data.X)
+        margin += config.eta * reference_predict(tree, tiny_data.X)
         losses.append(log_loss(sigmoid(margin), tiny_data.y, tiny_data.w))
     assert all(b < a for a, b in zip(losses, losses[1:]))
     for tree in model.trees:
@@ -178,7 +178,8 @@ def test_routing_left_strictly_below_threshold():
         "cover": [0.0, 1.0, 1.0],
         "gain": [0.0, 0.0, 0.0],
     })
-    out = tree.predict(np.array([[0.9], [1.0], [1.1]]))
+    model = GbdtModel([tree], 0.0, 1.0, 1.0, 0.0, 1, ["x"])
+    out = model.predict_margin(np.array([[0.9], [1.0], [1.1]]))
     assert out.tolist() == [-1.0, 1.0, 1.0]  # x < t goes left; ties go right
 
 
@@ -251,7 +252,7 @@ def reference_fit(data, cfg):
         reference_grow_node(nodes, X, w * (p - y), w * p * (1.0 - p), cfg, np.arange(data.n), 0)
         tree = Tree(nodes)
         trees.append(tree)
-        margin += cfg.eta * tree.predict(X)
+        margin += cfg.eta * reference_predict(tree, X)
     return GbdtModel(trees, base_score, cfg.eta, cfg.reg_lambda, cfg.reg_gamma,
                      cfg.max_depth, list(data.feature_names), cfg.as_dict())
 
@@ -291,9 +292,9 @@ def test_presorted_scan_matches_per_node_reference(case):
     assert got == persist.dumps(reference_fit(data, config))
 
 
-# Reference routing and expectation: the per-node stack walk and the
-# recursion that the level-by-level routing and the reverse-preorder pass
-# replaced, kept as oracles that must agree bit for bit.
+# Reference routing and expectation: a per-node stack walk and a recursion
+# per tree, kept as oracles that the node table's level-by-level routing and
+# tree means must agree with bit for bit.
 def reference_predict(tree, X):
     out = np.empty(X.shape[0])
     stack = [(0, np.arange(X.shape[0]))]
@@ -327,38 +328,65 @@ ROW_VALUES = sorted(
 
 
 @st.composite
-def hand_built_trees(draw):
-    """A preorder tree of depth up to 6 on up to 4 features (a feature may
-    repeat on a path), and rows on, just below and just above its
-    thresholds."""
+def hand_built_forests(draw):
+    """One to three preorder trees of depth up to 6 on up to 4 features (a
+    feature may repeat on a path; a tree may be a single leaf), and rows on,
+    just below and just above their thresholds."""
     d = draw(st.integers(1, 4))
-    max_depth = draw(st.integers(0, 6))
-    nodes = {}
+    trees = []
+    for _ in range(draw(st.integers(1, 3))):
+        max_depth = draw(st.integers(0, 6))
+        nodes = {}
 
-    def grow(depth):
-        node = new_node(nodes)
-        if depth < max_depth and draw(st.integers(0, 3)) < 3:
-            nodes["feature"][node] = draw(st.integers(0, d - 1))
-            nodes["threshold"][node] = draw(st.sampled_from(THRESHOLDS))
-            left, right = grow(depth + 1), grow(depth + 1)
-            nodes["left"][node], nodes["right"][node] = left, right
-            nodes["cover"][node] = nodes["cover"][left] + nodes["cover"][right]
-        else:
-            nodes["value"][node] = draw(st.floats(-2.0, 2.0))
-            nodes["cover"][node] = draw(st.floats(0.1, 10.0))
-        return node
+        def grow(depth):
+            node = new_node(nodes)
+            if depth < max_depth and draw(st.integers(0, 3)) < 3:
+                nodes["feature"][node] = draw(st.integers(0, d - 1))
+                nodes["threshold"][node] = draw(st.sampled_from(THRESHOLDS))
+                left, right = grow(depth + 1), grow(depth + 1)
+                nodes["left"][node], nodes["right"][node] = left, right
+                nodes["cover"][node] = nodes["cover"][left] + nodes["cover"][right]
+            else:
+                nodes["value"][node] = draw(st.floats(-2.0, 2.0))
+                nodes["cover"][node] = draw(st.floats(0.1, 10.0))
+            return node
 
-    grow(0)
-    tree = Tree(nodes)
+        grow(0)
+        trees.append(Tree(nodes))
+    model = GbdtModel(trees, draw(st.floats(-1.0, 1.0)), draw(st.floats(0.1, 1.0)), 1.0, 0.0,
+                      6, [f"x{j}" for j in range(d)])
     n = draw(st.integers(0, 30))
     cells = draw(st.lists(st.sampled_from(ROW_VALUES), min_size=n * d, max_size=n * d))
-    return tree, np.array(cells).reshape(n, d)
+    return model, np.array(cells).reshape(n, d)
 
 
 @settings(max_examples=300)
-@given(hand_built_trees())
-def test_level_routing_matches_stack_walk(case):
-    tree, X = case
-    assert tree.predict(X).tobytes() == reference_predict(tree, X).tobytes()
-    mean, expected = np.float64(tree.mean_value()), np.float64(reference_mean_value(tree))
-    assert mean.tobytes() == expected.tobytes()
+@given(hand_built_forests(), st.sampled_from([1, 2, 7, gbdt.ROUTE_CELLS]))
+def test_level_routing_matches_stack_walk(case, route_cells):
+    model, X = case
+    table = model.table
+    # small chunks route the rows a few (row, tree) pairs at a time
+    with mock.patch.object(gbdt, "ROUTE_CELLS", route_cells):
+        leaves = table.route(X)
+    for t, tree in enumerate(model.trees):
+        assert table.value[leaves[t]].tobytes() == reference_predict(tree, X).tobytes()
+        mean, expected = np.float64(table.means[t]), np.float64(reference_mean_value(tree))
+        assert mean.tobytes() == expected.tobytes()
+    # the margin adds the trees in order, as a tree-by-tree loop does
+    margin = np.full(X.shape[0], model.base_score)
+    for tree in model.trees:
+        margin += model.eta * reference_predict(tree, X)
+    assert model.predict_margin(X).tobytes() == margin.tobytes()
+    for i in range(X.shape[0]):
+        assert model.predict_margin(X[i:i + 1]).tobytes() == margin[i:i + 1].tobytes()
+
+
+def test_native_importance_adds_node_by_node(tiny_data):
+    model = fit_gbdt(tiny_data, GbdtConfig(rounds=15, max_depth=5))
+    for kind in ("gain", "cover"):
+        scores = np.zeros(model.d)
+        for tree in model.trees:
+            for f, value in zip(tree.feature, getattr(tree, kind)):
+                if f != -1:
+                    scores[f] += value
+        assert list(importance_native(model, kind).values()) == scores.tolist()

@@ -192,29 +192,39 @@ def _child_back_to_root(tree):
     tree["left"][node] = 0  # an ancestor: predict would route rows in a cycle
 
 
+FINITE = "tree threshold, value, cover, gain must be finite"
+UNEQUAL = "tree node arrays are empty or of unequal length"
+# damage to tree 3 (21 nodes) -> the message that rejects it
 GBDT_DAMAGE = {
-    "child out of range": lambda t: t["right"].__setitem__(_first_split(t), 999),
-    "child is an ancestor": _child_back_to_root,
-    "child is the node": lambda t: t["left"].__setitem__(_first_split(t), _first_split(t)),
-    "feature out of range": lambda t: t["feature"].__setitem__(_first_split(t), 4),
-    "negative feature": lambda t: t["feature"].__setitem__(_first_split(t), -2),
-    "unequal node arrays": lambda t: t["value"].pop(),
-    "no nodes": lambda t: [t[k].clear() for k in list(t)],
-    "NaN threshold": lambda t: t["threshold"].__setitem__(_first_split(t), float("nan")),
-    "infinite leaf value": lambda t: t["value"].__setitem__(_first_leaf(t), float("inf")),
-    "null cover": lambda t: t["cover"].__setitem__(0, None),
-    "infinite gain": lambda t: t["gain"].__setitem__(_first_split(t), float("-inf")),
-    "leaf child overflows": lambda t: t["right"].__setitem__(_first_leaf(t), 2**70),
-    "nested node list": lambda t: t.update({k: [[v] for v in t[k]] for k in t}),
+    "child out of range": (lambda t: t["right"].__setitem__(_first_split(t), 999),
+                           "tree 3 node 0 has children outside (0, 21)"),
+    "child is an ancestor": (_child_back_to_root, "tree 3 node 17 has children outside (17, 21)"),
+    "child is the node": (lambda t: t["left"].__setitem__(_first_split(t), _first_split(t)),
+                          "tree 3 node 0 has children outside (0, 21)"),
+    "feature out of range": (lambda t: t["feature"].__setitem__(_first_split(t), 4),
+                             "tree 3 node 0 splits on 4, outside [0, 4)"),
+    "negative feature": (lambda t: t["feature"].__setitem__(_first_split(t), -2),
+                         "tree 3 node 0 splits on -2, outside [0, 4)"),
+    "unequal node arrays": (lambda t: t["value"].pop(), UNEQUAL),
+    "no nodes": (lambda t: [t[k].clear() for k in list(t)], UNEQUAL),
+    "NaN threshold": (lambda t: t["threshold"].__setitem__(_first_split(t), float("nan")), FINITE),
+    "infinite leaf value": (lambda t: t["value"].__setitem__(_first_leaf(t), float("inf")), FINITE),
+    "null cover": (lambda t: t["cover"].__setitem__(0, None), FINITE),
+    "infinite gain": (lambda t: t["gain"].__setitem__(_first_split(t), float("-inf")), FINITE),
+    "leaf child overflows": (lambda t: t["right"].__setitem__(_first_leaf(t), 2**70),
+                             "malformed gbdt payload: Python int too large to convert to C long"),
+    "nested node list": (lambda t: t.update({k: [[v] for v in t[k]] for k in t}), UNEQUAL),
 }
 
 
 @pytest.mark.parametrize("damage", sorted(GBDT_DAMAGE))
 def test_damaged_tree_rejected_on_load(tmp_path, fitted_models, damage):
     _, models = fitted_models
-    path = _tampered(tmp_path, models["gbdt"], lambda p: GBDT_DAMAGE[damage](p["trees"][3]))
-    with pytest.raises(ModelFormatError):
+    edit, message = GBDT_DAMAGE[damage]
+    path = _tampered(tmp_path, models["gbdt"], lambda p: edit(p["trees"][3]))
+    with pytest.raises(ModelFormatError) as info:
         persist.load_model(path)
+    assert str(info.value) == message
 
 
 EBM_DAMAGE = {
