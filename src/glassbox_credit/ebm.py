@@ -28,7 +28,9 @@ into the grids once, for the cycles kept.
 
 from __future__ import annotations
 
+import bisect
 import csv
+import itertools
 import math
 from dataclasses import asdict, dataclass, field
 
@@ -169,47 +171,90 @@ def _score(g, h):
     return g * g / (h + _H_EPS)
 
 
-def _best_segments_1d(Gb, Hb, max_leaves, counts, min_leaf=1):
+def _cut_layout(counts, min_leaf):
+    """What a shape's cut searches share for a whole fit: the prefix row
+    counts (a list, for bisection), ``min_leaf`` (at least 1) and the whole
+    axis's valid cuts."""
+    Cc = [0, *itertools.accumulate(int(c) for c in counts)]
+    min_leaf = max(min_leaf, 1)
+    return Cc, min_leaf, _valid_cuts(Cc, min_leaf, 0, len(counts))
+
+
+def _valid_cuts(Cc, min_leaf, lo, hi):
+    """The cuts of [lo, hi) that leave ``min_leaf`` rows on each side, as a
+    half-open range: the prefix counts never decrease, so they are
+    contiguous."""
+    first = max(bisect.bisect_left(Cc, Cc[lo] + min_leaf), lo + 1)
+    stop = min(bisect.bisect_right(Cc, Cc[hi] - min_leaf), hi)
+    return first, stop
+
+
+def _side_scores(Gc, Hc, b, lo, hi):
+    """For each cut c of [lo, hi), the score of the bins between c and the
+    boundary b: the left side of a segment starting at b, or the right side
+    of one ending there. Subtraction is antisymmetric, the square drops the
+    sign and the prefix hessians never decrease, so either side gets the
+    bits ``_score`` gives it."""
+    g = Gc[lo + 1 : hi] - Gc[b]
+    return g * g / (np.abs(Hc[lo + 1 : hi] - Hc[b]) + _H_EPS)
+
+
+def _best_cut(Gc, Hc, lo, hi, left, right, cuts):
+    """(gain, cut) of the best cut of [lo, hi) among ``cuts``, or None;
+    ``left`` and ``right`` are its side scores, indexed by cut - lo - 1.
+    A later cut beats an earlier one only by more than 1e-15."""
+    first, stop = cuts
+    if first >= stop:
+        return None
+    k = slice(first - lo - 1, stop - lo - 1)
+    gains = left[k] + right[k] - _score(Gc[hi] - Gc[lo], Hc[hi] - Hc[lo])
+    # a cut can beat every earlier one by more than 1e-15 only if it is
+    # a strict running maximum, so the scalar walk visits only those
+    running = np.maximum.accumulate(gains)
+    best = 0
+    for i in (np.flatnonzero(gains[1:] > running[:-1]) + 1).tolist():
+        if gains[i] > gains[best] + 1e-15:
+            best = i
+    return gains[best], first + best
+
+
+def _best_segments_1d(Gb, Hb, max_leaves, layout):
     """Greedy segmentation of the bin axis maximizing second-order gain.
 
-    Returns half-open bin ranges ``np.s_[lo:hi]`` covering the axis. Splits
-    leaving fewer than ``min_leaf`` samples on a side are skipped; a later
-    cut beats an earlier one only by more than 1e-15.
+    Returns half-open bin ranges ``np.s_[lo:hi]`` covering the axis; each
+    round splits the segment whose best cut gains most (the first one on a
+    tie). ``layout`` is ``_cut_layout(counts, min_leaf)``: splits leaving
+    fewer than ``min_leaf`` samples on a side are skipped. Splitting
+    [lo, hi) at s scores one new side vector, the right side of [lo, s) and
+    the left side of [s, hi); each child takes its parent's vector on its
+    outer side, and a segment not split keeps its best cut.
     """
-    segments = [(0, len(Gb))]
+    Cc, min_leaf, root_cuts = layout
+    n = len(Gb)
+    segments = [(0, n)]
+    if max_leaves < 2:
+        return [np.s_[0:n]]
     Gc = np.concatenate([[0.0], np.cumsum(Gb)])
     Hc = np.concatenate([[0.0], np.cumsum(Hb)])
-    Cc = np.concatenate([[0], np.cumsum(counts)])
-    min_leaf = max(min_leaf, 1)
-
-    def best_split(lo, hi):
-        s = np.arange(lo + 1, hi)
-        s = s[(Cc[s] - Cc[lo] >= min_leaf) & (Cc[hi] - Cc[s] >= min_leaf)]
-        if not s.size:
-            return None
-        left = _score(Gc[s] - Gc[lo], Hc[s] - Hc[lo])
-        right = _score(Gc[hi] - Gc[s], Hc[hi] - Hc[s])
-        gains = left + right - _score(Gc[hi] - Gc[lo], Hc[hi] - Hc[lo])
-        # a cut can beat every earlier one by more than 1e-15 only if it is
-        # a strict running maximum, so the scalar walk visits only those
-        earlier = np.maximum.accumulate(np.concatenate([[-np.inf], gains[:-1]]))
-        best = None
-        for i in np.flatnonzero(gains > earlier):
-            if best is None or gains[i] > best[0] + 1e-15:
-                best = (gains[i], s[i])
-        return best
-
-    while len(segments) < max_leaves:
-        candidates = []
-        for i, (lo, hi) in enumerate(segments):
-            found = best_split(lo, hi)
-            if found is not None and found[0] > 0.0:
-                candidates.append((found[0], i, found[1]))
-        if not candidates:
+    sides = [(_side_scores(Gc, Hc, 0, 0, n), _side_scores(Gc, Hc, n, 0, n))]
+    bests = [_best_cut(Gc, Hc, 0, n, *sides[0], root_cuts)]
+    while True:
+        i = None
+        for j, found in enumerate(bests):
+            if found is not None and found[0] > 0.0 and (i is None or found[0] > bests[i][0]):
+                i = j
+        if i is None:
             break
-        _, i, s = max(candidates, key=lambda c: (c[0], -c[1]))
-        lo, hi = segments[i]
+        (lo, hi), (left, right), s = segments[i], sides[i], bests[i][1]
         segments[i : i + 1] = [(lo, s), (s, hi)]
+        if len(segments) == max_leaves:
+            break
+        middle = _side_scores(Gc, Hc, s, lo, hi)
+        sides[i : i + 1] = [(left[: s - lo - 1], middle[: s - lo - 1]), (middle[s - lo :], right[s - lo :])]
+        bests[i : i + 1] = [
+            _best_cut(Gc, Hc, a, b, *sides[i + j], _valid_cuts(Cc, min_leaf, a, b))
+            for j, (a, b) in enumerate(segments[i : i + 2])
+        ]
     return [np.s_[lo:hi] for lo, hi in segments]
 
 
@@ -370,8 +415,11 @@ def _boost_terms(data, index, terms, margins, rounds, config) -> int:
     yf, wf, yv, wv = data.y[fit], data.w[fit], data.y[val], data.w[val]
     coords_f = [np.unravel_index(ix[fit], t.shape) for ix, t in zip(index, terms)]
     coords_v = [np.unravel_index(ix[val], t.shape) for ix, t in zip(index, terms)]
-    # a shape's cut search also needs its bin counts
-    counts = [_grid_sums(c[0], t.shape) if t.ndim == 1 else None for c, t in zip(coords_f, terms)]
+    # a shape's cut searches share its bin counts
+    layouts = [
+        _cut_layout(_grid_sums(c[0], t.shape), config.min_samples_leaf) if t.ndim == 1 else None
+        for c, t in zip(coords_f, terms)
+    ]
     margins_f, margins_v = margins[fit], margins[val]
     lr = config.learning_rate
     prev_loss = log_loss(sigmoid(margins_f), yf, wf)
@@ -385,9 +433,7 @@ def _boost_terms(data, index, terms, margins, rounds, config) -> int:
             if term.ndim == 1:
                 G = _grid_sums(coords_f[t][0], term.shape, g)
                 H = _grid_sums(coords_f[t][0], term.shape, h)
-                regions = _best_segments_1d(
-                    G, H, config.max_leaves, counts[t], config.min_samples_leaf
-                )
+                regions = _best_segments_1d(G, H, config.max_leaves, layouts[t])
                 values = _leaf_values(
                     [G[r].sum() for r in regions], [H[r].sum() for r in regions], lr
                 )

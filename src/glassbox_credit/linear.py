@@ -4,17 +4,21 @@ regression.
 The unpenalized fit is full-batch Newton with backtracking line search and a
 tiny ridge (1e-6) for separable-data stability. The adaptive lasso is the
 classic two-stage estimator: an initial unpenalized fit supplies per-feature
-penalty weights 1/|beta_j|^gamma, then coordinate descent with
-soft-thresholding solves the reweighted L1 problem on successive quadratic
-approximations (proximal Newton).
+penalty weights 1/|beta_j|^gamma, then proximal Newton solves the reweighted
+L1 problem on successive quadratic models of the loss.
 
-Each quadratic model is held in covariance form (glmnet's "covariance
-updates", Friedman, Hastie & Tibshirani 2010): X^T diag(h) X is formed once
-per outer iteration, so a coordinate step costs O(d), not O(n). Sweeps visit
-the nonzero slopes and then only the zero slopes that violate the KKT
-condition, found with one vectorized test. The outer step is damped by
-halving until the penalized objective does not increase, which keeps warm
-starts far from the optimum (small samples) from oscillating.
+Each quadratic model is solved over a working set (glmnet's covariance
+updates over a strong-rule set; Friedman, Hastie & Tibshirani 2010,
+Tibshirani et al. 2012): the nonzero slopes and the zero slopes whose
+gradient exceeds their threshold. Its Hessian X^T diag(h) X is formed on
+that set only; the support's fixed-sign system is solved exactly, clipped
+at the first zero crossing, and KKT violators enter on one vectorized test.
+One product then checks every slope outside the set, which grows until
+none violates KKT, so each step is exact over all slopes. The outer step is
+damped by halving until the penalized objective does not increase, which
+keeps warm starts far from the optimum (small samples) from oscillating.
+The fit stops when the next move, predicted with the new gradient and the
+last step's Hessian, is below CD_TOL / 10: no step is spent confirming.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ from .errors import ConvergenceError, DataError
 RIDGE = 1e-6
 ZERO_WEIGHT_EPS = 1e-4  # adaptive weight floor: zero estimates get 1/eps
 CD_TOL = 1e-7
+_ROUNDING = float(np.sqrt(np.finfo(float).eps))  # 1.5e-8
 
 
 @np.errstate(over="ignore", under="ignore")
@@ -166,135 +171,158 @@ def _penalized_objective(z, y, w, beta, lam, pen_w, ridge):
     return nll + ridge * float(beta @ beta) + lam * float(pen_w @ np.abs(beta))
 
 
-def _cd_penalized(X, y, w, lam, pen_w, beta0, beta, ridge=RIDGE, max_outer=200):
-    """Proximal-Newton outer loop with coordinate descent on the local
-    quadratic model of the weighted loss. Intercept is unpenalized.
+def _working_hessian(Xt, S, root_h, ridge, buf):
+    """The quadratic model's Hessian over the intercept and the slopes
+    ``S``: ``A A^T`` for ``A = [1; Xt[S]] * sqrt(h)``, built in ``buf``,
+    plus the ridge on the slopes. Row and column 0 are the intercept's."""
+    m, n = S.size, Xt.shape[1]
+    A = buf[: (m + 1) * n].reshape(m + 1, n)
+    A[0] = root_h
+    np.take(Xt, S, axis=0, out=A[1:])
+    A[1:] *= root_h
+    K = A @ A.T
+    K.flat[m + 2 :: m + 2] += 2.0 * ridge
+    return K
 
-    The model is kept in covariance form: per outer iteration
-    ``Q = X^T diag(h) X``, ``c = X^T h`` and the gradient ``X^T g`` are
-    formed once, and the model's gradient at the inner iterate is carried
-    as a length-d vector that a coordinate step of ``delta`` updates by
-    ``Q[j] * delta``. The outer step is halved until the penalized
-    objective does not increase.
+
+def _solve_working_set(K, v, grad, thresholds):
+    """Minimize the quadratic model ``grad^T u + u^T K u / 2`` plus
+    ``sum(thresholds * |v + u|)`` over ``u``, moving ``v`` (the intercept
+    first, ``thresholds[0] == 0``) in place; ``grad`` is the model's
+    gradient at ``v`` and moves with it.
+
+    The nonzero coefficients' fixed-sign system is solved exactly and the
+    step is clipped at the first zero crossing, which drops that slope.
+    After a full step the zero slopes whose gradient exceeds their threshold
+    enter together, each with the sign that lowers the model; enterers whose
+    solved step points the other way are held out. Once the system is solved
+    with no entry, at least one enterer moves the right way, so only
+    rounding can hold them all out, and then the solve ends.
     """
+    zero = v == 0.0
+    zero[0] = False
+    enter = zero & (np.abs(grad) > thresholds)
+    settled = False
+    for _ in range(1000):
+        idx = np.flatnonzero(~zero | enter)
+        whole = idx.size == v.size
+        sign = np.where(enter, -np.sign(grad), np.sign(v))[idx]
+        system = K if whole else K[np.ix_(idx, idx)]
+        try:
+            step = np.linalg.solve(system, -(grad[idx] + thresholds[idx] * sign))
+        except np.linalg.LinAlgError as err:  # every row's curvature underflowed
+            raise ConvergenceError("singular working-set Hessian") from err
+        wrong = enter[idx] & (step * sign <= 0.0)
+        if wrong.any():
+            enter[idx[wrong]] = False
+            if settled and not enter.any():
+                return
+            continue
+        with np.errstate(divide="ignore", invalid="ignore"):
+            crossing = -v[idx] / step
+        crossing[~((crossing > 0.0) & (crossing < 1.0))] = np.inf
+        crossing[0] = np.inf  # the intercept never leaves
+        hit = int(np.argmin(crossing))
+        frac = min(float(crossing[hit]), 1.0)
+        v[idx] += frac * step
+        grad += frac * ((K if whole else K[:, idx]) @ step)
+        if frac < 1.0:
+            v[idx[hit]] = 0.0
+        zero = v == 0.0
+        zero[0] = False
+        # after a clip the smaller system is solved again before any entry
+        settled = frac == 1.0
+        enter = zero & (np.abs(grad) > thresholds) & settled
+        if settled and not enter.any():
+            return
+    raise ConvergenceError("working-set solve stalled")
+
+
+def _with_intercept(first, rest):
+    """``[first, *rest]`` as a new float array."""
+    out = np.empty(rest.size + 1)
+    out[0], out[1:] = first, rest
+    return out
+
+
+def _cd_penalized(X, y, w, lam, pen_w, beta0, beta, ridge=RIDGE, max_outer=200):
+    """Proximal-Newton steps on the adaptive-lasso objective: weighted-mean
+    NLL, ridge, and ``lam * pen_w`` L1 on the slopes (the intercept is
+    unpenalized). Returns ``(beta0, beta, steps)``, ``steps`` being the
+    number of Hessians formed.
+
+    Each step solves the local quadratic model over a working set S, the
+    nonzero slopes and the zero slopes that violate KKT, with the Hessian
+    formed on S only. One product then gives the model's gradient for every
+    slope; a slope outside S that violates KKT joins S and the solve
+    repeats, so the step is exact over all slopes. The step is halved until
+    the penalized objective does not rise. After a full step that moved
+    less than 1e-3, the same solve with the new gradient and that step's
+    Hessian predicts the next move; below ``CD_TOL / 10`` the fit returns,
+    and so it does when a prediction below ``_ROUNDING`` is no smaller than
+    that step, which only rounding makes it.
+    """
+    n, d = X.shape
     W = w.sum()
     thresholds = lam * pen_w
+    Xt = np.ascontiguousarray(X.T)  # columns as rows, gathered per step
+    buf = np.empty((d + 1) * n)  # the working set's weighted columns
     z = beta0 + X @ beta
     objective = _penalized_objective(z, y, w, beta, lam, pen_w, ridge)
-    for outer in range(max_outer):
-        p = sigmoid(z)
-        g = w * (p - y) / W
+    p = sigmoid(z)
+    g = w * (p - y) / W
+    grad = Xt @ g  # the loss gradient, ridge excluded
+    for steps in range(1, max_outer + 1):
         h = w * p * (1 - p) / W
-        Xs = X * np.sqrt(h)[:, None]
-        Q = Xs.T @ Xs
-        c = X.T @ h
-        h_sum = h.sum()
-        diag = Q.diagonal() + 2.0 * ridge
-        # gradient of the quadratic model at (new0, new), ridge term excluded
-        grad = X.T @ g
-        grad0 = g.sum()
+        root_h = np.sqrt(h)
+        in_set = (beta != 0.0) | (np.abs(grad) > thresholds)
         new0, new = beta0, beta.copy()
-        max_delta_outer = 0.0
-
-        def coordinate(j):
-            nonlocal grad, grad0
-            bj = new[j]
-            rho = diag[j] * bj - (grad[j] + 2.0 * ridge * bj)
-            new[j] = soft_threshold(rho, thresholds[j]) / diag[j]
-            delta = new[j] - bj
-            if delta != 0.0:
-                grad += Q[j] * delta
-                grad0 += c[j] * delta
-            return abs(delta)
-
-        def sweep():
-            """One pass over the nonzero slopes, then over the zero slopes
-            that violate KKT (a zero slope that satisfies it would not
-            move), then the intercept."""
-            nonlocal new0, grad, grad0
-            max_delta = 0.0
-            for j in np.flatnonzero(new):
-                max_delta = max(max_delta, coordinate(j))
-            for j in np.flatnonzero((new == 0.0) & (np.abs(grad) > thresholds)):
-                max_delta = max(max_delta, coordinate(j))
-            db0 = -grad0 / h_sum
-            if db0 != 0.0:
-                new0 += db0
-                grad += c * db0
-                grad0 += h_sum * db0
-                max_delta = max(max_delta, abs(db0))
-            return max_delta
-
-        def active_newton():
-            """Exact minimization of the quadratic model over the current
-            active set with signs held fixed. Cyclic updates crawl when
-            active columns are strongly correlated; solving the small
-            fixed-sign system directly sidesteps that. Coefficients whose
-            step would cross zero are clipped to zero and dropped."""
-            nonlocal new0, grad, grad0
-            for _ in range(50):
-                active = np.flatnonzero(new)
-                if active.size == 0:
-                    return
-                m = active.size
-                K = np.empty((m + 1, m + 1))
-                K[0, 0] = h_sum
-                K[0, 1:] = K[1:, 0] = c[active]
-                K[1:, 1:] = Q[np.ix_(active, active)]
-                K[1:, 1:][np.diag_indices(m)] += 2.0 * ridge
-                rhs = np.empty(m + 1)
-                rhs[0] = -grad0
-                rhs[1:] = -(
-                    grad[active]
-                    + 2.0 * ridge * new[active]
-                    + thresholds[active] * np.sign(new[active])
-                )
-                try:
-                    step = np.linalg.solve(K, rhs)
-                except np.linalg.LinAlgError:
-                    return
-                # clip the step at the first zero crossing, if any
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    crossing = -new[active] / step[1:]
-                crossing[~((crossing > 0.0) & (crossing < 1.0))] = np.inf
-                hit = int(np.argmin(crossing))
-                frac = min(float(crossing[hit]), 1.0)
-                new0 += frac * step[0]
-                new[active] += frac * step[1:]
-                grad += frac * (Q[:, active] @ step[1:] + c * step[0])
-                grad0 += frac * (c[active] @ step[1:] + h_sum * step[0])
-                if frac < 1.0:
-                    new[active[hit]] = 0.0
-                    continue
-                return
-
-        # full passes handle active-set changes; the exact solve finishes
-        # the fixed-sign subproblem between them
-        for _ in range(200):
-            max_delta = sweep()
-            max_delta_outer = max(max_delta_outer, max_delta)
-            if max_delta < CD_TOL:
+        model_grad, model_grad0 = grad, g.sum()
+        while True:
+            S = np.flatnonzero(in_set)
+            K = _working_hessian(Xt, S, root_h, ridge, buf)
+            v = _with_intercept(new0, new[S])
+            set_thresholds = _with_intercept(0.0, thresholds[S])
+            model = _with_intercept(model_grad0, model_grad[S] + 2.0 * ridge * new[S])
+            _solve_working_set(K, v, model, set_thresholds)
+            new0, new[S] = v[0], v[1:]
+            new_z = new0 + X @ new
+            r = g + h * (new_z - z)
+            model_grad, model_grad0 = Xt @ r, r.sum()
+            grow = ~in_set & (np.abs(model_grad) > thresholds)
+            if not grow.any():
                 break
-            active_newton()
-        else:
-            raise ConvergenceError("coordinate descent stalled", iterations=outer)
-        if max_delta_outer < CD_TOL:
-            return new0, new, outer
+            in_set |= grow
         # Far from the optimum (a warm start at the unpenalized fit of a
         # small sample) the full step can overshoot and oscillate; halve it
         # until the objective does not rise beyond rounding.
         step0, step = new0 - beta0, new - beta
+        move = max(abs(step0), float(np.abs(step).max(initial=0.0)))
         t = 1.0
         for _ in range(60):
-            new_z = new0 + X @ new
             new_objective = _penalized_objective(new_z, y, w, new, lam, pen_w, ridge)
             if new_objective <= objective + 1e-12 * abs(objective):
                 break
             t *= 0.5
             new0, new = beta0 + t * step0, beta + t * step
+            new_z = new0 + X @ new
         else:
-            raise ConvergenceError("penalized line search failed", iterations=outer)
+            raise ConvergenceError("penalized line search failed", iterations=steps)
         beta0, beta, z, objective = new0, new, new_z, new_objective
+        p = sigmoid(z)
+        g = w * (p - y) / W
+        grad = Xt @ g
+        if t == 1.0 and move < 1e-3 and not (~in_set & (np.abs(grad) > thresholds)).any():
+            # the next move, predicted with this step's Hessian
+            v = _with_intercept(beta0, beta[S])
+            u = v.copy()
+            model = _with_intercept(g.sum(), grad[S] + 2.0 * ridge * beta[S])
+            _solve_working_set(K, u, model, set_thresholds)
+            bound = np.abs(u - v).max()
+            # Newton steps contract quadratically here: a tiny predicted
+            # move no smaller than the step just taken is rounding
+            if bound < CD_TOL / 10 or move <= bound < _ROUNDING:
+                return beta0, beta, steps
     raise ConvergenceError("penalized fit did not converge", iterations=max_outer)
 
 
@@ -319,8 +347,9 @@ def fit_adaptive_lasso(
     which case a 50-point logarithmic grid below lambda_max is scored by
     validation log-loss (a deterministic 1-in-4 stride split of the training
     rows when no validation set is given). The path is kept in
-    ``diagnostics["path"]``: each grid point's ``lambda``, ``val_log_loss``
-    and ``nonzero`` count, and the ``chosen`` index."""
+    ``diagnostics["path"]``: each grid point's ``lambda``, ``val_log_loss``,
+    ``nonzero`` count and ``outer_iterations`` (proximal-Newton steps), and
+    the ``chosen`` index."""
     auto = lam == "auto"
     if not auto and (isinstance(lam, bool) or not isinstance(lam, numbers.Real)):
         raise DataError(f"lambda must be a number or 'auto', got {lam!r}")
@@ -343,12 +372,13 @@ def fit_adaptive_lasso(
         grid = np.geomspace(lmax, lmax * 1e-4, n_grid) if lmax > 0 else [0.0]
         from .metrics import log_loss
 
-        path = {"lambda": [], "val_log_loss": [], "nonzero": [], "chosen": 0}
+        path = {"lambda": [], "val_log_loss": [], "nonzero": [], "outer_iterations": [], "chosen": 0}
         best = np.inf
         beta0w, betaw = float(initial.intercept), initial.coef.copy()
+        path_X = np.asfortranarray(fit_part.X)  # the solver reads columns
         for k, lam_k in enumerate(grid):
-            beta0w, betaw, _ = _cd_penalized(
-                fit_part.X, fit_part.y, fit_part.w, float(lam_k), pen_w, beta0w, betaw.copy()
+            beta0w, betaw, steps = _cd_penalized(
+                path_X, fit_part.y, fit_part.w, float(lam_k), pen_w, beta0w, betaw.copy()
             )
             probs = sigmoid(beta0w + val_part.X @ betaw)
             score = float(log_loss(probs, val_part.y, val_part.w))
@@ -357,6 +387,7 @@ def fit_adaptive_lasso(
             path["lambda"].append(float(lam_k))
             path["val_log_loss"].append(score)
             path["nonzero"].append(int(np.count_nonzero(betaw)))
+            path["outer_iterations"].append(steps)
         lam = path["lambda"][path["chosen"]]
 
     lam = float(lam)

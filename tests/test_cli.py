@@ -518,3 +518,36 @@ def test_cli_exits_cleanly_in_dev_mode(tmp_path):
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr == ""
     assert (tmp_path / "run" / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("hash_seed", ["0", "1", "2", "3"])
+def test_glassbox_run_exits_cleanly_under_every_hash_seed(tmp_path, hash_seed):
+    """The glass-box experiment shape (raw CSV, LR base ranked by
+    coefficients, EBM and PLTR, pair sweep, refinement) under ``-X dev``:
+    teardown order follows hash randomization, so each seed must exit 0
+    with nothing on stderr."""
+    from glassbox_credit import synth
+
+    raw, prep = tmp_path / "raw.csv", tmp_path / "prep.json"
+    synth.write_csv("redundant", raw, prep, n_train=300, n_test=300)
+    cfg = tmp_path / "exp.json"
+    cfg.write_text(json.dumps({
+        "dataset": {"train_csv": str(raw), "prep_config": str(prep)},
+        "base_kind": "lr",
+        "model_configs": {"ebm": {"rounds": 20, "pair_rounds": 10}},
+        "rank_method": "coef",
+        "k": 6,
+        "reduced_kinds": ["ebm", "pltr"],
+        "sweep_pairs": {"k": 6, "pair_counts": [0, 2]},
+        "refinement": {"pool": 8, "target": 6, "protected": 2},
+    }))
+    proc = subprocess.run(
+        [sys.executable, "-X", "dev", "-m", "glassbox_credit.cli", "run",
+         "--config", str(cfg), "--out-dir", str(tmp_path / "run")],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONHASHSEED=hash_seed),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    assert (tmp_path / "run" / "reduced_pltr_k6.json").exists()

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from glassbox_credit.data import Dataset
@@ -19,6 +19,7 @@ from glassbox_credit.ebm import (
     _pair_index,
     _best_regions_2d_rows,
     _best_segments_1d,
+    _cut_layout,
     _grid_sums,
     _region_numbers,
     _sorted_quantiles,
@@ -337,8 +338,85 @@ CELL = st.tuples(st.integers(0, 3), st.integers(-3, 3), st.integers(0, 3))
 @given(st.lists(CELL, min_size=1, max_size=14), st.integers(1, 5), st.integers(0, 5))
 def test_segments_1d_match_scalar_reference(cells, max_leaves, min_leaf):
     G, H, counts = bin_sums(cells)
-    got = _best_segments_1d(G, H, max_leaves, counts, min_leaf)
+    got = _best_segments_1d(G, H, max_leaves, _cut_layout(counts, min_leaf))
     assert [(r.start, r.stop) for r in got] == reference_segments_1d(
+        G, H, max_leaves, counts, min_leaf
+    )
+
+
+# The vectorised search that scored every segment's cuts afresh each round,
+# kept as an oracle for the search that reuses one-sided scores.
+def reference_vectorised_segments_1d(Gb, Hb, max_leaves, counts, min_leaf=1):
+    segments = [(0, len(Gb))]
+    Gc = np.concatenate([[0.0], np.cumsum(Gb)])
+    Hc = np.concatenate([[0.0], np.cumsum(Hb)])
+    Cc = np.concatenate([[0], np.cumsum(counts)])
+    min_leaf = max(min_leaf, 1)
+
+    def score(g, h):
+        return g * g / (h + _H_EPS)
+
+    def best_split(lo, hi):
+        s = np.arange(lo + 1, hi)
+        s = s[(Cc[s] - Cc[lo] >= min_leaf) & (Cc[hi] - Cc[s] >= min_leaf)]
+        if not s.size:
+            return None
+        left = score(Gc[s] - Gc[lo], Hc[s] - Hc[lo])
+        right = score(Gc[hi] - Gc[s], Hc[hi] - Hc[s])
+        gains = left + right - score(Gc[hi] - Gc[lo], Hc[hi] - Hc[lo])
+        earlier = np.maximum.accumulate(np.concatenate([[-np.inf], gains[:-1]]))
+        best = None
+        for i in np.flatnonzero(gains > earlier):
+            if best is None or gains[i] > best[0] + 1e-15:
+                best = (gains[i], s[i])
+        return best
+
+    while len(segments) < max_leaves:
+        candidates = []
+        for i, (lo, hi) in enumerate(segments):
+            found = best_split(lo, hi)
+            if found is not None and found[0] > 0.0:
+                candidates.append((found[0], i, found[1]))
+        if not candidates:
+            break
+        _, i, s = max(candidates, key=lambda c: (c[0], -c[1]))
+        lo, hi = segments[i]
+        segments[i : i + 1] = [(lo, s), (s, hi)]
+    return segments
+
+
+@st.composite
+def float_bins(draw):
+    """Per-bin sums as boosting makes them: float gradients (rounded to one
+    decimal when drawn so, which makes cut gains tie), non-negative
+    hessians, empty bins, and repeated blocks of bins."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 40))
+    G = rng.standard_normal(n) * rng.choice([1e-3, 1.0, 50.0])
+    H = rng.random(n) * rng.choice([1e-3, 1.0, 50.0])
+    counts = rng.integers(0, 6, n)
+    if draw(st.booleans()):
+        G, H = np.round(G, 1), np.round(H, 1)
+    if draw(st.booleans()):
+        block = draw(st.integers(1, 4))
+        G, H, counts = (np.resize(a[:block], n) for a in (G, H, counts))
+    G[counts == 0] = 0.0
+    H[counts == 0] = 0.0
+    return G, H, counts
+
+
+# Two segments whose best cuts gain exactly the same, with one split left:
+# the tie goes to the lower segment.
+SEGMENT_TIE = (np.array([5.0, 6.0, -1.0, -5.0, -6.0]), np.ones(5), np.array([2, 1, 2, 1, 2]))
+
+
+@settings(max_examples=600)
+@given(float_bins(), st.integers(2, 5), st.integers(0, 6))
+@example(SEGMENT_TIE, 4, 1)
+def test_segments_1d_match_vectorised_reference(bins, max_leaves, min_leaf):
+    G, H, counts = bins
+    got = _best_segments_1d(G, H, max_leaves, _cut_layout(counts, min_leaf))
+    assert [(r.start, r.stop) for r in got] == reference_vectorised_segments_1d(
         G, H, max_leaves, counts, min_leaf
     )
 
@@ -473,7 +551,7 @@ def reference_boost_terms(data, index, terms, margins, rounds, config) -> int:
             H = _grid_sums(index_f[t], term.shape, h)
             if term.ndim == 1:
                 regions = _best_segments_1d(
-                    G, H, config.max_leaves, layout[t], config.min_samples_leaf
+                    G, H, config.max_leaves, _cut_layout(layout[t], config.min_samples_leaf)
                 )
             else:
                 regions, _ = _best_regions_2d_rows(

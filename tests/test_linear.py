@@ -196,8 +196,8 @@ def test_linear_model_validation():
 
 
 # Largest subgradient violation allowed at a returned lasso solution. The
-# solver stops once no coordinate moves by CD_TOL (1e-7); a coordinate's
-# gradient is then off by at most its curvature (below 1 here) times that.
+# solver stops once its predicted next move is below CD_TOL / 10 (1e-8); the
+# gradient is then off by at most the curvature (below 1 here) times that.
 KKT_TOL = 1e-6
 
 
@@ -363,10 +363,10 @@ def reference_cd_penalized(X, y, w, lam, pen_w, beta0, beta, ridge=RIDGE, max_ou
 
 
 
-# Both solvers stop once no coordinate moves by the tolerance. Along a
+# The reference stops once no coordinate moves by its tolerance. Along a
 # direction of small curvature (two indicators whose difference marks a few
-# rows) that leaves the stopping point up to 1e-4 from the optimum at the
-# default 1e-7, for either solver, so the fixed points are compared at 1e-12.
+# rows) that leaves its stopping point up to 1e-4 from the optimum at the
+# default 1e-7, so the fixed points are compared at 1e-12.
 TIGHT_TOL = 1e-12
 
 
@@ -387,6 +387,87 @@ def test_covariance_solver_matches_per_sample_reference(problem):
             got0, got, _ = linear._cd_penalized(X, y, w, lam, pen_w, beta0, beta.copy())
         assert abs(got0 - want0) <= 1e-6
         assert np.abs(got - want).max() <= 1e-6
+
+
+def reference_fixed_point(X, y, w, lam, pen_w, beta0, beta):
+    """The reference solver's solution at TIGHT_TOL; examples on which its
+    undamped outer step oscillates are discarded."""
+    try:
+        return reference_cd_penalized(X, y, w, lam, pen_w, beta0, beta.copy(), tol=TIGHT_TOL)[:2]
+    except ConvergenceError:
+        assume(False)
+
+
+@settings(max_examples=60)
+@given(lasso_problems(), st.integers(3, 8))
+def test_warm_started_path_meets_kkt_and_matches_reference(problem, n_grid):
+    """A decreasing lambda grid solved with warm starts from the unpenalized
+    fit, as fit_adaptive_lasso runs it: every point meets KKT, and at
+    CD_TOL = 1e-12 every point matches the reference's own path."""
+    X, y, w, _, pen_w, starts = problem
+    lmax = lambda_max(X, y, w, pen_w)
+    got = tight = want = starts[0]
+    for lam in np.geomspace(lmax, lmax * 1e-4, n_grid):
+        got = linear._cd_penalized(X, y, w, lam, pen_w, got[0], got[1].copy())[:2]
+        assert kkt_violation(X, y, w, lam, pen_w, *got) <= KKT_TOL
+        with mock.patch.object(linear, "CD_TOL", TIGHT_TOL):
+            tight = linear._cd_penalized(X, y, w, lam, pen_w, tight[0], tight[1].copy())[:2]
+        want = reference_fixed_point(X, y, w, lam, pen_w, *want)
+        assert abs(tight[0] - want[0]) <= 1e-6
+        assert np.abs(tight[1] - want[1]).max() <= 1e-6
+
+
+@settings(max_examples=200)
+@given(lasso_problems())
+def test_returned_fit_is_within_its_predicted_move(problem):
+    """The fit returns once the next move it predicts is below CD_TOL / 10,
+    and a Newton step this close predicts the remaining distance well: every
+    solution is within CD_TOL / 5 of the reference's fixed point."""
+    X, y, w, lam, pen_w, starts = problem
+    for beta0, beta in starts:
+        got0, got, _ = linear._cd_penalized(X, y, w, lam, pen_w, beta0, beta.copy())
+        want0, want = reference_fixed_point(X, y, w, lam, pen_w, beta0, beta)
+        assert max(abs(got0 - want0), np.abs(got - want).max()) <= CD_TOL / 5
+
+
+def test_slope_outside_the_working_set_enters_within_the_step():
+    """x1 is independent of the label, so its gradient is below its
+    threshold at the start and it stays out of the first working set; once
+    x0 (which carries x1 as noise) enters, the model's gradient for x1
+    exceeds the threshold and the same step must take it in."""
+    rng = np.random.default_rng(3)
+    u, v = rng.standard_normal((2, 4000))
+    X = np.column_stack([u + v, v])
+    y = (rng.random(4000) < sigmoid(2.0 * u)).astype(float)
+    w, pen_w, lam = np.ones(4000), np.ones(2), 0.05
+    beta0 = math.log(y.mean() / (1.0 - y.mean()))
+    grad = X.T @ (y.mean() - y) / 4000
+    assert abs(grad[1]) < lam < abs(grad[0])
+    formed = []
+
+    def spy(Xt, S, root_h, ridge, buf):
+        formed.append((S.tolist(), root_h))
+        return hessian(Xt, S, root_h, ridge, buf)
+
+    hessian = linear._working_hessian
+    with mock.patch.object(linear, "_working_hessian", spy):
+        b0, b, _ = linear._cd_penalized(X, y, w, lam, pen_w, beta0, np.zeros(2))
+    (first, first_h), (second, second_h) = formed[:2]
+    assert first == [0] and second == [0, 1] and second_h is first_h
+    assert np.all(b != 0.0)
+    assert kkt_violation(X, y, w, lam, pen_w, b0, b) <= KKT_TOL
+
+
+def test_saturated_start_raises_convergence_error():
+    """Every row's margin beyond 37 makes each curvature p(1 - p) exactly 0,
+    so the Hessian's intercept row is 0: a ConvergenceError (CLI exit 3),
+    with no warning on the way."""
+    X = np.repeat([[1.0, 0.5], [-1.0, -0.5]], 25, axis=0)
+    y = (X[:, 0] > 0).astype(float)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConvergenceError, match="singular"):
+            linear._cd_penalized(X, y, np.ones(50), 1e-3, np.ones(2), 0.0, np.array([1e3, 0.0]))
 
 
 # Small samples on which fit_pltr(lam="auto") failed before the outer step
@@ -426,6 +507,8 @@ def test_auto_lasso_records_its_path():
     model = fit_adaptive_lasso(data, lam="auto", n_grid=12)
     path = model.diagnostics["path"]
     assert len(path["lambda"]) == len(path["val_log_loss"]) == len(path["nonzero"]) == 12
+    assert len(path["outer_iterations"]) == 12
+    assert all(isinstance(k, int) and k >= 1 for k in path["outer_iterations"])
     assert path["lambda"] == sorted(path["lambda"], reverse=True)
     k = path["chosen"]
     assert model.diagnostics["lambda"] == path["lambda"][k]
