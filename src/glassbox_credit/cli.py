@@ -44,7 +44,11 @@ PLTR_FEATURE_WARNING = 40
 
 
 def _read_ranking(path) -> RankedFeatures:
-    return RankedFeatures.from_dict(read_json(path))
+    obj = read_json(path)
+    try:
+        return RankedFeatures.from_dict(obj)
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
 
 
 def _write(path, text):

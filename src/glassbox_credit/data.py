@@ -6,9 +6,15 @@ one-hot encode configured categoricals (with an explicit column for missing
 values), impute numeric missing values with the train-split mean, and split
 train/test on a date cutoff.
 
+Every raw column is one numpy array, from ingest to ``prepare``: float64
+with NaN for numeric columns, an object array of ``str`` and None for
+categorical ones, and ``datetime64[D]`` with NaT for the date column.
 Ingestion reads the raw CSV a chunk of rows at a time: numeric cells go
-into one float array per column, text and date cells become references to
-one object per distinct cell, and each distinct date string is parsed once.
+into one float array per column, and each text or date cell into the number
+of its distinct cell, each distinct cell converted once.
+``prepare`` takes each categorical column's levels and codes once and
+writes every encoded column straight into preallocated train and test
+matrices.
 A prepared Dataset is cached as CSV: every cell is a float ``repr``, written
 from ``tolist()`` rows a chunk at a time and read back bit for bit by
 ``np.loadtxt`` into one buffer, in which the features are then packed into a
@@ -148,14 +154,15 @@ def parse_date(text: str) -> date | None:
 
 
 class RawTable:
-    """Column-typed table: numeric columns are float arrays with NaN for
-    missing, categorical columns are string lists with None for missing,
-    the date column holds ``date`` objects or None."""
+    """Column-typed table of one numpy array per column: numeric columns
+    are float64 with NaN for missing, categorical columns object arrays of
+    ``str`` with None for missing, and the date column is ``datetime64[D]``
+    with NaT for missing."""
 
     def __init__(self, names: list[str], columns: dict):
         if len(set(names)) != len(names):
             raise DataError("column names must be unique")
-        lengths = {len(_col_values(columns[n])) for n in names}
+        lengths = {len(columns[n][1]) for n in names}
         if len(lengths) > 1:
             raise DataError("all columns must have equal length")
         self.names = list(names)
@@ -165,22 +172,11 @@ class RawTable:
     def kind(self, name: str) -> str:
         return self.columns[name][0]
 
-    def values(self, name: str):
+    def values(self, name: str) -> np.ndarray:
         return self.columns[name][1]
 
     def select_rows(self, mask) -> "RawTable":
-        cols = {}
-        for n in self.names:
-            kind, vals = self.columns[n]
-            if kind == "numeric":
-                cols[n] = (kind, vals[mask])
-            else:
-                cols[n] = (kind, [v for v, keep in zip(vals, mask) if keep])
-        return RawTable(self.names, cols)
-
-
-def _col_values(col):
-    return col[1]
+        return RawTable(self.names, {n: (self.kind(n), self.values(n)[mask]) for n in self.names})
 
 
 @dataclass
@@ -249,9 +245,10 @@ def ingest_csv(path, config: PrepConfig) -> RawTable:
 
     The rows are read ``INGEST_CHUNK_ROWS`` at a time, so the file never
     exists in memory as strings: numeric cells go straight into one float
-    array per column, and text and date cells become references to one
-    object per distinct cell. A column that stops parsing as float after
-    its first chunk is read again, alone, in a second pass over the file.
+    array per column, and each text or date cell becomes the number of its
+    distinct cell, each distinct cell converted once. A column that stops
+    parsing as float after its first chunk is read again, alone, in a
+    second pass over the file.
     """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
@@ -265,7 +262,7 @@ def ingest_csv(path, config: PrepConfig) -> RawTable:
             for needed in (config.target, config.date_column):
                 if needed and needed not in header:
                     raise DataError(f"missing column {needed!r}")
-            cols = [_DateColumn(name) if name == config.date_column else _NumericColumn()
+            cols = [_CellColumn(name) if name == config.date_column else _NumericColumn()
                     for name in header]
             for chunk in _row_chunks(reader, len(header)):
                 for i, cells in enumerate(zip(*chunk)):
@@ -274,7 +271,7 @@ def ingest_csv(path, config: PrepConfig) -> RawTable:
                     if cols[i].n:  # text after floats: read the column again
                         cols[i] = None
                     else:
-                        cols[i] = _TextColumn()
+                        cols[i] = _CellColumn()
                         cols[i].add(cells)
         reread = [i for i, col in enumerate(cols) if col is None]
         if reread:
@@ -282,7 +279,7 @@ def ingest_csv(path, config: PrepConfig) -> RawTable:
                 reader = csv.reader(fh)
                 next(reader)
                 for i in reread:
-                    cols[i] = _TextColumn()
+                    cols[i] = _CellColumn()
                 for chunk in _row_chunks(reader, len(header)):
                     for i in reread:
                         cols[i].add([row[i] for row in chunk])
@@ -330,54 +327,41 @@ class _NumericColumn:
 
     def result(self):
         if not self.observed:  # every cell blank (or no rows): categorical
-            return ("categorical", [None] * self.n)
+            return ("categorical", np.full(self.n, None, dtype=object))
         self.values.resize(self.n, refcheck=False)
         return ("numeric", self.values)
 
 
-class _TextColumn:
-    """A categorical column: each distinct cell is kept once, blank as None."""
+class _CellColumn:
+    """A text column, or the date column named ``date_column``: each row
+    keeps the number of its distinct cell, and each distinct cell is
+    converted once, in the order cells are first seen, to itself or to a
+    date, a blank cell to None. The first cell, in row order, that is
+    neither blank nor a date is named when the column is taken, so that a
+    ragged row anywhere in the file is reported first."""
 
-    def __init__(self):
-        self.values = []
-        self._objects = {}
-
-    def add(self, cells) -> bool:
-        objects = self._objects
-        for cell in set(cells).difference(objects):
-            objects[cell] = cell if cell.strip() else None
-        self.values.extend(map(objects.__getitem__, cells))
-        return True
-
-    def result(self):
-        return ("categorical", self.values)
-
-
-class _DateColumn:
-    """The date column: each distinct cell is parsed once. The first cell,
-    in row order, that is neither blank nor a date is named when the column
-    is taken, so that a ragged row anywhere in the file is reported first."""
-
-    def __init__(self, name: str):
-        self.name = name
-        self.values = []
-        self._dates = {}
-        self._bad = None
+    def __init__(self, date_column: str | None = None):
+        self.date_column = date_column
+        self.codes = []  # per row, the number of its distinct cell
+        self._index = {}  # distinct cell -> its number, in the order first seen
 
     def add(self, cells) -> bool:
-        dates = self._dates
+        index = self._index
         for cell in dict.fromkeys(cells):
-            if cell not in dates:
-                dates[cell] = parse_date(cell)
-                if dates[cell] is None and cell.strip() and self._bad is None:
-                    self._bad = cell
-        self.values.extend(map(dates.__getitem__, cells))
+            index.setdefault(cell, len(index))
+        self.codes.extend(map(index.__getitem__, cells))
         return True
 
     def result(self):
-        if self._bad is not None:
-            raise DataError(f"unparseable date {self._bad!r} in column {self.name!r}")
-        return ("date", self.values)
+        cells = list(self._index)
+        if self.date_column is None:
+            distinct = np.array([c if c.strip() else None for c in cells], dtype=object)
+            return ("categorical", distinct[self.codes])
+        days = [parse_date(c) for c in cells]
+        for cell, day in zip(cells, days):
+            if day is None and cell.strip():
+                raise DataError(f"unparseable date {cell!r} in column {self.date_column!r}")
+        return ("date", np.array(days, dtype="datetime64[D]")[self.codes])
 
 
 def encode_target(table: RawTable, config: PrepConfig) -> RawTable:
@@ -388,14 +372,12 @@ def encode_target(table: RawTable, config: PrepConfig) -> RawTable:
     kind, vals = table.columns[config.target]
     if kind != "categorical":
         raise DataError("target column must be categorical before encoding")
-    keep = [v in (config.positive_label, config.negative_label) for v in vals]
-    if not any(keep):
+    positive = vals == config.positive_label
+    keep = positive | (vals == config.negative_label)
+    if not keep.any():
         raise DataError("no rows with a recognized target label remain")
     table = table.select_rows(keep)
-    encoded = np.array(
-        [1.0 if v == config.positive_label else 0.0 for v in table.values(config.target)]
-    )
-    table.columns[config.target] = ("numeric", encoded)
+    table.columns[config.target] = ("numeric", positive[keep].astype(float))
     return table
 
 
@@ -433,11 +415,8 @@ def prepare(table: RawTable, config: PrepConfig, return_stats: bool = False):
     if config.date_column not in table.names:
         raise DataError("date column required for the temporal split")
 
-    dates = table.values(config.date_column)
-    valid = [d is not None for d in dates]
-    table = table.select_rows(valid)
-    dates = table.values(config.date_column)
-    in_train = np.array([d <= config.cutoff_date for d in dates], dtype=bool)
+    table = table.select_rows(~np.isnat(table.values(config.date_column)))
+    in_train = table.values(config.date_column) <= np.datetime64(config.cutoff_date)
     if not in_train.any():
         raise DataError("empty train split")
     if in_train.all():
@@ -446,53 +425,44 @@ def prepare(table: RawTable, config: PrepConfig, return_stats: bool = False):
     feature_cols = [
         n for n in table.names if n not in (config.target, config.date_column)
     ]
-    blocks: list[np.ndarray] = []
     names: list[str] = []
+    # per encoded column: its values, or category codes and the level's code
+    sources: list[tuple[np.ndarray, int | None]] = []
     impute_means: dict[str, float] = {}
     for name in feature_cols:
         kind, vals = table.columns[name]
         if name in config.categorical:
             if kind == "numeric":
-                vals = [repr(v) if not math.isnan(v) else None for v in vals]
-            cats = sorted({v if v is not None else MISSING_CATEGORY for v in vals})
-            for cat in cats:
-                col = np.array(
-                    [
-                        1.0 if (v if v is not None else MISSING_CATEGORY) == cat else 0.0
-                        for v in vals
-                    ]
-                )
-                blocks.append(col)
-                names.append(f"{name}_{cat}")
+                vals = np.array([repr(v) if not math.isnan(v) else None for v in vals.tolist()],
+                                dtype=object)
+            levels, codes = np.unique(np.where(np.equal(vals, None), MISSING_CATEGORY, vals),
+                                      return_inverse=True)
+            names += [f"{name}_{level}" for level in levels]
+            sources += [(codes, k) for k in range(len(levels))]
         elif kind == "numeric":
-            col = vals.astype(float).copy()
-            nan_mask = np.isnan(col)
+            nan_mask = np.isnan(vals)
             if nan_mask.any():
-                train_vals = col[in_train & ~nan_mask]
+                train_vals = vals[in_train & ~nan_mask]
                 if train_vals.size == 0:
                     raise DataError(f"column {name!r} has no observed train values")
                 mean = float(train_vals.mean())
-                col[nan_mask] = mean
+                vals = np.where(nan_mask, mean, vals)
                 impute_means[name] = mean
-            blocks.append(col)
             names.append(name)
+            sources.append((vals, None))
         else:
             raise DataError(
                 f"categorical column {name!r} not listed in config.categorical"
             )
 
-    X = np.column_stack(blocks) if blocks else np.zeros((table.n_rows, 0))
-    y = table.values(config.target).astype(float)
-
-    def split(mask) -> Dataset:
-        return Dataset(
-            X=X[mask],
-            y=y[mask],
-            w=np.ones(int(mask.sum())),
-            feature_names=list(names),
-        )
-
-    train, test = split(in_train), split(~in_train)
+    y = table.values(config.target)
+    splits = []
+    for rows in (in_train, ~in_train):
+        X = np.empty((np.count_nonzero(rows), len(names)))
+        for j, (vals, code) in enumerate(sources):
+            X[:, j] = vals[rows] if code is None else vals[rows] == code
+        splits.append(Dataset(X=X, y=y[rows], w=np.ones(len(X)), feature_names=list(names)))
+    train, test = splits
     if return_stats:
         stats = {
             "imputation_means": impute_means,

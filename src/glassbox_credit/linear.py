@@ -109,12 +109,12 @@ def fit_logistic(
     W = w.sum()
     beta0, beta = 0.0, np.zeros(d)
     loss, g0, g, p = _loss_grad_hess(X, y, w, beta0, beta, ridge)
+    Xa = np.column_stack([np.ones(n), X])
     for it in range(max_iter):
         gnorm = max(abs(g0), np.abs(g).max() if d else 0.0)
         if gnorm <= tol:
             break
         hw = np.clip(w * p * (1 - p) / W, 1e-12, None)
-        Xa = np.column_stack([np.ones(n), X])
         H = (Xa * hw[:, None]).T @ Xa
         H[1:, 1:] += 2.0 * ridge * np.eye(d)
         H[np.diag_indices_from(H)] += 1e-12

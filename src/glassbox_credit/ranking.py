@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 
 from .errors import DataError
@@ -58,7 +59,27 @@ class RankedFeatures:
         return cls.from_dict(json.loads(text))
 
     @classmethod
-    def from_dict(cls, obj: dict) -> "RankedFeatures":
+    def from_dict(cls, obj) -> "RankedFeatures":
+        """The ranking in an object ``to_json`` wrote. DataError naming the
+        key, or the index in ``features``, of a value that is missing or of
+        another type: every feature needs a str name and a finite score."""
+        if not isinstance(obj, dict):
+            raise DataError(f"a ranking must be an object, got {type(obj).__name__}")
+        for key in ("method", "features"):
+            if key not in obj:
+                raise DataError(f"ranking lacks key {key!r}")
+        for key, want in (("method", str), ("features", list), ("source", str), ("meta", dict)):
+            if key in obj and not isinstance(obj[key], want):
+                raise DataError(f"ranking key {key!r} must be {want.__name__}, "
+                                f"got {type(obj[key]).__name__}")
+        for i, f in enumerate(obj["features"]):
+            # type(), not isinstance: a JSON true is no score; the bound
+            # rejects NaN, the infinities and ints too large for a float
+            if not (isinstance(f, dict) and isinstance(f.get("name"), str)
+                    and type(f.get("score")) in (int, float)
+                    and abs(f["score"]) <= sys.float_info.max):
+                raise DataError(f"ranking features[{i}] must be an object with a str 'name' "
+                                f"and a finite number 'score', got {f!r}")
         return cls(
             names=[f["name"] for f in obj["features"]],
             scores=[f["score"] for f in obj["features"]],

@@ -11,11 +11,12 @@ contract). Generation is deterministic given the seed; presets fix it.
 from __future__ import annotations
 
 import csv
+import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, write_atomic
 from .errors import DataError
 from .linear import sigmoid
 
@@ -135,7 +136,7 @@ def write_csv(preset: str, path, config_path=None, n_train=30_000, n_test=10_000
     path."""
     train, test, truth = generate(preset, n_train, n_test, seed)
     names = train.feature_names
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with write_atomic(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(names + ["loan_status", "issue_d"])
         for data, stamp in ((train, TRAIN_DATE), (test, TEST_DATE)):
@@ -145,9 +146,7 @@ def write_csv(preset: str, path, config_path=None, n_train=30_000, n_test=10_000
                     + ["Charged Off" if data.y[i] == 1.0 else "Fully Paid", stamp]
                 )
     if config_path is not None:
-        import json
-
-        with open(config_path, "w", encoding="utf-8") as fh:
+        with write_atomic(config_path) as fh:
             json.dump(
                 {
                     "target": "loan_status",

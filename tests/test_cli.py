@@ -320,6 +320,43 @@ def test_train_takes_lr_and_pltr_configs(small_cached, tmp_path, kind, config):
     assert model.exists()
 
 
+MALFORMED_RANKINGS = [
+    ({"method": "shap"}, "ranking lacks key 'features'"),
+    ({"method": "shap", "features": [["a", 1]]}, "features[0]"),
+    ({"method": "shap", "features": [{"name": "a", "score": 1.0}, {"name": "b"}]},
+     "features[1]"),
+    ({"method": "shap", "features": [{"name": "a", "score": float("nan")}]}, "features[0]"),
+    ({"method": "shap", "features": [], "meta": []}, "'meta' must be dict"),
+    ([1], "must be an object"),
+]
+# each command that reads --ranking, with its arguments besides the data,
+# the ranking and the output
+RANKING_COMMANDS = {
+    "refine": [],
+    "reduce-train": ["--k", 1, "--kind", "lr"],
+    "sweep-k": ["--ks", "1", "--kinds", "lr"],
+    "sweep-pairs": ["--k", 2],
+}
+
+
+@pytest.mark.parametrize("command", RANKING_COMMANDS)
+@pytest.mark.parametrize("ranking,message", MALFORMED_RANKINGS,
+                         ids=["no-features", "feature-pair", "no-score", "nan-score",
+                              "meta-list", "not-an-object"])
+def test_malformed_ranking_exits_2(small_cached, tmp_path, capsys, command, ranking, message):
+    path, out = tmp_path / "ranking.json", tmp_path / "out.json"
+    path.write_text(json.dumps(ranking))
+    argv = [command, "--train", small_cached, "--ranking", path, *RANKING_COMMANDS[command],
+            "--out-model" if command == "reduce-train" else "--out", out]
+    if command != "refine":
+        argv += ["--test", small_cached]
+    code = run_cli(*argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"error: {path}: ") and message in err and "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "configs",
     [{"ebn": {"rounds": 5}, "lr": {}}, {"lr": {"tol": "x"}}, [1]],
@@ -486,11 +523,13 @@ def test_prepare_rejects_a_malformed_prep_config(raw_inputs, tmp_path, capsys, e
         assert not out.exists()
 
 
-def test_cli_exits_cleanly_in_dev_mode(tmp_path):
-    """``run`` (pair sweep and refinement included) and ``prepare`` in a
-    fresh interpreter with ``-X dev``, which shows resource and other
-    warnings: each exits 0 and writes nothing to stderr, so no finalizer,
-    weakref callback or unclosed file speaks up at interpreter exit."""
+def test_cli_exits_cleanly_in_dev_mode(tmp_path, lending_club_csv):
+    """``run`` (pair sweep and refinement included) and ``prepare``, of the
+    synthetic CSV and of a Lending-Club-shaped one with categoricals, blanks
+    and dropped labels, in a fresh interpreter with ``-X dev -W error``,
+    which shows resource and other warnings and makes each one an error:
+    each exits 0 and writes nothing to stderr, so no finalizer, weakref
+    callback or unclosed file speaks up at interpreter exit."""
     from glassbox_credit import synth
 
     raw, prep = tmp_path / "raw.csv", tmp_path / "prep.json"
@@ -508,16 +547,20 @@ def test_cli_exits_cleanly_in_dev_mode(tmp_path):
         ("run", "--config", cfg, "--out-dir", tmp_path / "run"),
         ("prepare", "--input", raw, "--config", prep,
          "--out-train", tmp_path / "train.csv", "--out-test", tmp_path / "test.csv"),
+        ("prepare", "--input", lending_club_csv[0], "--config", lending_club_csv[1],
+         "--out-train", tmp_path / "lc_train.csv", "--out-test", tmp_path / "lc_test.csv"),
     ]
     for argv in commands:
         proc = subprocess.run(
-            [sys.executable, "-X", "dev", "-m", "glassbox_credit.cli", *map(str, argv)],
+            [sys.executable, "-X", "dev", "-W", "error", "-m", "glassbox_credit.cli",
+             *map(str, argv)],
             capture_output=True,
             text=True,
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr == ""
     assert (tmp_path / "run" / "manifest.json").exists()
+    assert (tmp_path / "lc_test.csv").exists()
 
 
 @pytest.mark.parametrize("hash_seed", ["0", "1", "2", "3"])

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import re
 import warnings
 from unittest import mock
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from glassbox_credit import data as data_module
 from glassbox_credit.data import (
     CACHE_COLUMNS,
+    MISSING_CATEGORY,
     Dataset,
     PrepConfig,
     apply_class_weights,
@@ -176,7 +178,7 @@ def test_ingest_matches_reference(cache_dir, table):
         if kind == "numeric":
             assert got.values(name).tobytes() == vals.tobytes()
         else:
-            assert got.values(name) == vals
+            assert got.values(name).tolist() == vals
 
 
 def _assert_ingest_matches_reference(path, config):
@@ -194,7 +196,7 @@ def _assert_ingest_matches_reference(path, config):
         if kind == "numeric":
             assert got.values(name).tobytes() == vals.tobytes()
         else:
-            assert got.values(name) == vals
+            assert got.values(name).tolist() == vals
 
 
 @settings(max_examples=300)
@@ -364,6 +366,148 @@ def test_prepare_unit_weights_and_labels(tmp_path):
     (train, test), _ = prepared(tmp_path)
     assert np.array_equal(train.w, np.ones(train.n))
     assert set(np.concatenate([train.y, test.y]).tolist()) <= {0.0, 1.0}
+
+
+def test_prepare_names_a_numeric_categorical_by_float_repr(tmp_path):
+    raw = write_csv(tmp_path, """loan_status,issue_d,term
+Fully Paid,Mar-2015,36
+Charged Off,2015-04,60
+Fully Paid,2015-05-02,
+Charged Off,Oct-2016,36
+Fully Paid,2016-11,60
+""")
+    config = make_config(categorical=["term"], engineer_fico=False)
+    train, test = prepare(read_raw_csv(raw, config), config)
+    assert train.feature_names == ["term_36.0", "term_60.0", "term_nan"]
+    assert train.X.tolist() == [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+    assert test.X.tolist() == [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]
+
+
+# The list-based encode_target and prepare that one numpy array per raw
+# column replaced, kept as an oracle over reference_ingest's columns, with a
+# numeric column listed as categorical named by the repr of Python floats:
+# X bytes, y, w, names, stats and error messages must all agree.
+def _reference_select(columns, keep):
+    return {name: (kind, vals[np.array(keep, dtype=bool)] if kind == "numeric"
+                   else [v for v, k in zip(vals, keep) if k])
+            for name, (kind, vals) in columns.items()}
+
+
+def reference_prepare(header, columns, config):
+    kind, labels = columns[config.target]
+    if kind != "categorical":
+        raise DataError("target column must be categorical before encoding")
+    keep = [v in (config.positive_label, config.negative_label) for v in labels]
+    if not any(keep):
+        raise DataError("no rows with a recognized target label remain")
+    columns = _reference_select(columns, keep)
+    columns[config.target] = ("numeric", np.array(
+        [1.0 if v == config.positive_label else 0.0 for v in columns[config.target][1]]))
+    columns = _reference_select(columns, [d is not None for d in columns[config.date_column][1]])
+    in_train = np.array([d <= config.cutoff_date for d in columns[config.date_column][1]],
+                        dtype=bool)
+    if not in_train.any():
+        raise DataError("empty train split")
+    if in_train.all():
+        raise DataError("empty test split")
+    blocks, names, impute_means = [], [], {}
+    for name in header:
+        if name in (config.target, config.date_column):
+            continue
+        kind, vals = columns[name]
+        if name in config.categorical:
+            if kind == "numeric":
+                vals = [repr(v) if not math.isnan(v) else None for v in vals.tolist()]
+            for cat in sorted({v if v is not None else MISSING_CATEGORY for v in vals}):
+                blocks.append(np.array(
+                    [1.0 if (v if v is not None else MISSING_CATEGORY) == cat else 0.0
+                     for v in vals]))
+                names.append(f"{name}_{cat}")
+        elif kind == "numeric":
+            col = vals.astype(float).copy()
+            nan_mask = np.isnan(col)
+            if nan_mask.any():
+                train_vals = col[in_train & ~nan_mask]
+                if train_vals.size == 0:
+                    raise DataError(f"column {name!r} has no observed train values")
+                mean = float(train_vals.mean())
+                col[nan_mask] = mean
+                impute_means[name] = mean
+            blocks.append(col)
+            names.append(name)
+        else:
+            raise DataError(f"categorical column {name!r} not listed in config.categorical")
+    X = np.column_stack(blocks) if blocks else np.zeros((in_train.size, 0))
+    y = columns[config.target][1]
+    train, test = (Dataset(X[m], y[m], np.ones(int(m.sum())), list(names))
+                   for m in (in_train, ~in_train))
+    stats = {"imputation_means": impute_means, "split_cutoff": config.split_cutoff,
+             "feature_names": list(names), "n_train": train.n, "n_test": test.n}
+    return train, test, stats
+
+
+# Numeric cells (blanks, NaN and inf spellings, values a repr names) and text
+# cells ("nan" is a float, so a column of it and blanks turns numeric).
+# Repeats weight the draws towards tables that prepare accepts.
+PREP_NUMERIC_CELLS = ["", "1", "-0", "2.5", "36", "60", "1e5", "1", "2.5", "nan", "inf"]
+PREP_TEXT_CELLS = ["", "A", "B", " A", "a", "nan", "é", "A", "B"]
+PREP_LABELS = ["Fully Paid", "Charged Off"] * 3 + ["Current", ""]
+PREP_DATES = ["", "Mar-2015", "2015-07-31", "2014-01-15", "2015-08", "Oct-2016", "2016-01-02"]
+
+
+# (cells, listed in config.categorical) per column
+PREP_COLUMNS = [(PREP_NUMERIC_CELLS, False)] * 2 + [(PREP_NUMERIC_CELLS, True)] \
+    + [(PREP_TEXT_CELLS, True)] * 2 + [(PREP_TEXT_CELLS, False)]
+
+
+@st.composite
+def prep_tables(draw):
+    n = draw(st.sampled_from([6, 10, 16, draw(st.integers(0, 16))]))
+    width = draw(st.sampled_from([2, 3, 1, 0]))
+    columns = [draw(st.sampled_from(PREP_COLUMNS)) for _ in range(width)]
+    rows = [[draw(st.sampled_from(PREP_LABELS)), draw(st.sampled_from(PREP_DATES))]
+            + [draw(st.sampled_from(cells)) for cells, _ in columns] for _ in range(n)]
+    header = ["loan_status", "issue_d"] + [f"c{j}" for j in range(len(columns))]
+    categorical = [f"c{j}" for j, (_, listed) in enumerate(columns) if listed]
+    return header, rows, categorical
+
+
+@settings(max_examples=400)
+@given(prep_tables())
+def test_prepare_matches_reference(cache_dir, table):
+    header, rows, categorical = table
+    path = cache_dir / "raw.csv"
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows([header] + rows)
+    config = make_config(categorical=categorical, engineer_fico=False)
+    try:
+        want = reference_prepare(*reference_ingest(path, config), config)
+    except DataError as exc:
+        with pytest.raises(DataError, match=re.escape(str(exc))):
+            prepare(read_raw_csv(path, config), config)
+        return
+    got = prepare(read_raw_csv(path, config), config, return_stats=True)
+    assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])
+    assert got[2] == want[2]
+
+
+def test_prepare_peak_memory_is_near_its_output(lending_club_csv):
+    import tracemalloc
+
+    raw, prep = lending_club_csv
+    config = PrepConfig.from_json_file(prep)
+    table = read_raw_csv(raw, config)
+    tracemalloc.start()
+    try:
+        train, test = prepare(table, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    output = sum(a.nbytes for data in (train, test) for a in (data.X, data.y, data.w))
+    assert train.d == 109  # 8 numeric, the merged FICO column, 35 + 50 + 14 + 1 one-hot
+    # both splits are written in place; beyond them only the category codes
+    # and the imputed copies of the numeric columns with blanks
+    assert peak < 1.5 * output
 
 
 def test_class_weights_known_value():

@@ -1,3 +1,6 @@
+import os
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -70,3 +73,26 @@ def test_write_csv_survives_full_ingestion(tmp_path):
     col = train.feature_names.index("f00")
     assert np.allclose(train.X[:, col], direct_train.X[:, 0])
     assert np.array_equal(train.y, direct_train.y)
+
+
+class _Unwritable:
+    """A value csv.writer cannot turn into a cell (its str fails) and
+    json.dump cannot encode."""
+
+    def __str__(self):
+        raise OSError("no space left on device")
+
+
+@pytest.mark.parametrize("constant", ["TEST_DATE", "CUTOFF"], ids=["csv", "config"])
+def test_write_csv_failing_midway_keeps_the_old_files(tmp_path, constant):
+    # TEST_DATE fails the CSV after its train rows, CUTOFF the config after
+    # its first keys; either way no file is left half written
+    csv_path, config_path = tmp_path / "raw.csv", tmp_path / "prep.json"
+    csv_path.write_text("old csv")
+    config_path.write_text("old config")
+    with mock.patch.object(synth, constant, _Unwritable()), pytest.raises((OSError, TypeError)):
+        synth.write_csv("additive", csv_path, config_path, n_train=50, n_test=50)
+    if constant == "TEST_DATE":
+        assert csv_path.read_text() == "old csv"
+    assert config_path.read_text() == "old config"
+    assert sorted(os.listdir(tmp_path)) == ["prep.json", "raw.csv"]
