@@ -526,7 +526,9 @@ def test_prepare_rejects_a_malformed_prep_config(raw_inputs, tmp_path, capsys, e
 def test_cli_exits_cleanly_in_dev_mode(tmp_path, lending_club_csv):
     """``run`` (pair sweep and refinement included) and ``prepare``, of the
     synthetic CSV and of a Lending-Club-shaped one with categoricals, blanks
-    and dropped labels, in a fresh interpreter with ``-X dev -W error``,
+    and dropped labels, and ``train`` on the latter's caches, which are
+    large enough to be written and read in parts by forked children, in a
+    fresh interpreter with ``-X dev -W error``,
     which shows resource and other warnings and makes each one an error:
     each exits 0 and writes nothing to stderr, so no finalizer, weakref
     callback or unclosed file speaks up at interpreter exit."""
@@ -549,6 +551,8 @@ def test_cli_exits_cleanly_in_dev_mode(tmp_path, lending_club_csv):
          "--out-train", tmp_path / "train.csv", "--out-test", tmp_path / "test.csv"),
         ("prepare", "--input", lending_club_csv[0], "--config", lending_club_csv[1],
          "--out-train", tmp_path / "lc_train.csv", "--out-test", tmp_path / "lc_test.csv"),
+        ("train", "--train", tmp_path / "lc_train.csv", "--test", tmp_path / "lc_test.csv",
+         "--kind", "lr", "--out-model", tmp_path / "lc_lr.json"),
     ]
     for argv in commands:
         proc = subprocess.run(
@@ -560,7 +564,7 @@ def test_cli_exits_cleanly_in_dev_mode(tmp_path, lending_club_csv):
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr == ""
     assert (tmp_path / "run" / "manifest.json").exists()
-    assert (tmp_path / "lc_test.csv").exists()
+    assert (tmp_path / "lc_lr.json").exists()
 
 
 @pytest.mark.parametrize("hash_seed", ["0", "1", "2", "3"])

@@ -1,7 +1,11 @@
+import contextlib
 import csv
 import json
 import math
+import os
 import re
+import sys
+import threading
 import warnings
 from unittest import mock
 
@@ -755,34 +759,45 @@ def same_bits(a: Dataset, b: Dataset) -> bool:
             and all(u.tobytes() == v.tobytes() for u, v in ((a.X, b.X), (a.y, b.y), (a.w, b.w))))
 
 
+@contextlib.contextmanager
+def in_parts(parts):
+    """Cache writes and reads split any matrix into up to ``parts`` parts."""
+    with mock.patch.object(data_module, "SPLIT_MIN_CELLS", 1), \
+            mock.patch.object(data_module, "_usable_cpus", lambda: parts):
+        yield
+
+
 @settings(max_examples=300)
-@given(cached_datasets(), st.sampled_from([1, 2, 3, data_module.CACHE_CHUNK_ROWS]))
-def test_cache_matches_reference_bytes_and_bits(cache_dir, data, chunk_rows):
+@given(cached_datasets(), st.sampled_from([1, 2, 3, data_module.CACHE_CHUNK_ROWS]),
+       st.sampled_from([1, 2, 3]))
+def test_cache_matches_reference_bytes_and_bits(cache_dir, data, chunk_rows, parts):
     got, want = cache_dir / "got.csv", cache_dir / "want.csv"
-    with mock.patch.object(data_module, "CACHE_CHUNK_ROWS", chunk_rows):
+    with mock.patch.object(data_module, "CACHE_CHUNK_ROWS", chunk_rows), in_parts(parts):
         cache_dataset(data, got, cache_dir / "got.json")
+        # a clean file never needs the cell-by-cell reading
+        with mock.patch.object(data_module, "_read_cached_rows", side_effect=AssertionError):
+            loaded = load_cached_dataset(got)
     reference_cache_csv(data, want)
     assert got.read_bytes() == want.read_bytes()
-    loaded = load_cached_dataset(got)
     assert same_bits(loaded, reference_load_cached(want))
     assert same_bits(loaded, data)
 
 
 def corrupt(text: str, draw) -> str:
     """``text`` with one line after the header damaged: a blank line
-    inserted, or a cell added, dropped or replaced."""
+    inserted, or a cell added (empty or a number), dropped or replaced."""
     # A newline inside a quoted name is a bare "\n", so the header is lines[0].
     lines = text.split("\r\n")
     i = draw(st.integers(1, len(lines) - 1))
     cells = lines[i].split(",")
     j = draw(st.integers(0, len(cells) - 1))
     damage = draw(st.sampled_from(
-        ["blank", "spaces", "comma", "hash", "hash-suffix", "drop", "nan", "inf", "abc",
-         "1_0", "quoted", "padded", "empty"]))
+        ["blank", "spaces", "comma", "extra", "hash", "hash-suffix", "drop", "nan", "inf",
+         "abc", "1_0", "quoted", "padded", "empty"]))
     if damage in ("blank", "spaces"):
         lines.insert(i, "" if damage == "blank" else "  ")
-    elif damage == "comma":
-        lines[i] += ","
+    elif damage in ("comma", "extra"):
+        lines[i] += "," if damage == "comma" else ",1.5"
     elif damage == "hash-suffix":
         lines[i] += "#x"
     elif damage == "drop":
@@ -802,18 +817,158 @@ def outcome(read, path):
 
 
 @settings(max_examples=300)
-@given(cached_datasets(), st.data())
-def test_damaged_cache_loads_as_reference_or_fails(cache_dir, data, draw):
+@given(cached_datasets(), st.data(), st.sampled_from([1, 2, 3]))
+def test_damaged_cache_loads_as_reference_or_fails(cache_dir, data, draw, parts):
     clean = cache_dir / "clean.csv"
     reference_cache_csv(data, clean)
     text = corrupt(clean.read_bytes().decode("utf-8"), draw.draw)
     damaged = cache_dir / "damaged.csv"
     damaged.write_bytes(text.encode("utf-8"))
-    got, want = outcome(load_cached_dataset, damaged), outcome(reference_load_cached, damaged)
+    with in_parts(parts):
+        got = outcome(load_cached_dataset, damaged)
+    want = outcome(reference_load_cached, damaged)
     if want is DataError:
         assert got is DataError
     else:
         assert got is not DataError and same_bits(got, want)
+
+
+@contextlib.contextmanager
+def counting_forks():
+    """The pids of the children ``os.fork`` makes meanwhile."""
+    pids, fork = [], os.fork
+
+    def spy():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    with mock.patch.object(os, "fork", spy):
+        yield pids
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def random_dataset(n, d, seed=5):
+    rng = np.random.default_rng(seed)
+    return Dataset(rng.standard_normal((n, d)), (rng.random(n) < 0.2).astype(float),
+                   rng.random(n) + 0.5, [f"f{j}" for j in range(d)])
+
+
+def test_cache_in_two_parts_matches_one_part(tmp_path):
+    data = random_dataset(5000, 54)
+    files, loads = [], []
+    for parts in (1, 2):
+        path = tmp_path / f"parts{parts}.csv"
+        with mock.patch.object(data_module, "_usable_cpus", lambda: parts), \
+                counting_forks() as forks:
+            cache_dataset(data, path, tmp_path / f"parts{parts}.json")
+            loads.append(load_cached_dataset(path))
+        # one child writes and one reads, at the default SPLIT_MIN_CELLS
+        assert len(forks) == (0 if parts == 1 or data_module._fork_would_warn() else 2)
+        files.append(path.read_bytes())
+    assert files[0] == files[1]
+    assert same_bits(loads[0], loads[1]) and same_bits(loads[1], data)
+
+
+def test_cache_calls_leave_no_child_and_no_temporary_file(tmp_path):
+    """After a write whose child fails, a load, a load whose child fails and
+    a malformed load, no child is left to reap and only the files written
+    are in the directory; each call gives what one part gives."""
+    n = 600
+    data = random_dataset(n, 4)
+    path, want, bad = tmp_path / "cached.csv", tmp_path / "want.csv", tmp_path / "bad.csv"
+    reference_cache_csv(data, want)
+    parent = os.getpid()
+    write_rows, parse_rows = data_module._write_rows, data_module._parse_rows
+
+    def write_failing_in_child(*args):
+        if os.getpid() != parent:
+            raise OSError("no space left on device")
+        write_rows(*args)
+
+    def parse_failing_in_child(lines):
+        if os.getpid() != parent:
+            raise RuntimeError("child failed")
+        return parse_rows(lines)
+
+    with in_parts(2), counting_forks() as forks:
+        with mock.patch.object(data_module, "_write_rows", write_failing_in_child):
+            cache_dataset(data, path, tmp_path / "cached.json")
+        assert_no_child_left()
+        assert path.read_bytes() == want.read_bytes()
+        assert same_bits(load_cached_dataset(path), data)
+        assert_no_child_left()
+        with mock.patch.object(data_module, "_parse_rows", parse_failing_in_child):
+            assert same_bits(load_cached_dataset(path), data)
+        assert_no_child_left()
+        lines = want.read_bytes().decode().split("\r\n")
+        lines[n] = lines[n].rsplit(",", 1)[0] + ",abc"  # the last row, in the child's part
+        bad.write_bytes("\r\n".join(lines).encode())
+        with pytest.raises(DataError, match=f"line {n + 1}: could not convert"):
+            load_cached_dataset(bad)
+        assert_no_child_left()
+    assert len(forks) == (0 if data_module._fork_would_warn() else 4)
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "bad.csv", "cached.csv", "cached.json", "want.csv"]
+
+
+def test_empty_dataset_caches_its_header_only(tmp_path):
+    path = tmp_path / "cached.csv"
+    cache_dataset(Dataset(np.empty((0, 2)), [], [], ["a", "b"]), path, tmp_path / "cached.json")
+    assert path.read_bytes() == b"__label__,__weight__,a,b\r\n"
+    with pytest.raises(DataError, match="no data rows"):
+        load_cached_dataset(path)
+
+
+def test_cached_part_of_another_width_is_refused(tmp_path):
+    # the cut falls after the third row, so the child parses only the wide
+    # row: its array is well formed but one cell wider than the caller's
+    path = write_csv(tmp_path, CACHED_HEADER + CACHED_ROW * 3 + "1.0,1.0,0.5,2.0,1.5\n",
+                     "cached.csv")
+    with in_parts(2), pytest.raises(DataError, match="line 5: 5 cells"):
+        load_cached_dataset(path)
+
+
+@pytest.mark.parametrize("case", ["no fork", "one cpu", "few cells", "other threads"])
+def test_cache_stays_in_process(tmp_path, monkeypatch, case):
+    data = random_dataset(600, 4)  # 3600 cells with the label and weight
+    # the reader estimates the cells from the length of the first row
+    monkeypatch.setattr(data_module, "SPLIT_MIN_CELLS", 36_000 if case == "few cells" else 1)
+    monkeypatch.setattr(data_module, "_usable_cpus", lambda: 1 if case == "one cpu" else 2)
+    monkeypatch.setattr(data_module, "_fork_would_warn", lambda: case == "other threads")
+    forks = []
+
+    def refuse():
+        forks.append(1)
+        raise OSError("fork refused")
+
+    if case == "no fork":
+        monkeypatch.delattr(os, "fork")
+    else:
+        monkeypatch.setattr(os, "fork", refuse)
+    cache_dataset(data, tmp_path / "cached.csv", tmp_path / "cached.json")
+    loaded = load_cached_dataset(tmp_path / "cached.csv")
+    assert forks == [] and same_bits(loaded, data)
+
+
+def test_fork_would_warn_with_other_threads_from_python_3_12(monkeypatch):
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        monkeypatch.setattr(sys, "version_info", (3, 11, 0))
+        assert not data_module._fork_would_warn()
+        monkeypatch.setattr(sys, "version_info", (3, 12, 0))
+        assert data_module._fork_would_warn()
+    finally:
+        stop.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
 
 
 def test_prep_config_validation(tmp_path):
