@@ -29,6 +29,8 @@ from .errors import ConvergenceError, DataError, ModelFormatError
 from .gbdt import GbdtModel
 from .metrics import evaluate_scores
 from .pipeline import (
+    DEFAULT_PAIR_COUNTS,
+    PLATEAU_EPS,
     RefinementConfig,
     refine_correlation,
     run_full,
@@ -269,8 +271,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--preset", default="additive", choices=sorted(synth.PRESETS))
     p.add_argument("--out", required=True)
     p.add_argument("--out-config", default=None)
-    p.add_argument("--n-train", type=int, default=30_000)
-    p.add_argument("--n-test", type=int, default=10_000)
+    p.add_argument("--n-train", type=int, default=synth.DEFAULT_N_TRAIN)
+    p.add_argument("--n-test", type=int, default=synth.DEFAULT_N_TEST)
     p.add_argument("--seed", type=int, default=synth.DEFAULT_SEED)
     p.set_defaults(func=cmd_synth)
 
@@ -309,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kinds", default="ebm", help="comma list of model kinds")
     p.add_argument("--model-config", default=None,
                    help="JSON object: kind -> config overrides")
-    p.add_argument("--epsilon", type=float, default=0.002,
+    p.add_argument("--epsilon", type=float, default=PLATEAU_EPS,
                    help="AUPRC gain below this marks the plateau")
     p.add_argument("--out", required=True)
     add_threshold(p)
@@ -320,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--test", required=True)
     p.add_argument("--ranking", required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--pairs", type=_int_list, default=list(range(10)),
+    p.add_argument("--pairs", type=_int_list, default=list(DEFAULT_PAIR_COUNTS),
                    help="pair counts, e.g. 0,1,2,3")
     p.add_argument("--model-config", default=None)
     p.add_argument("--out", required=True)
@@ -330,10 +332,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("refine", help="drop correlated features from a ranking")
     p.add_argument("--train", required=True)
     p.add_argument("--ranking", required=True)
-    p.add_argument("--pool", type=int, default=25)
-    p.add_argument("--target", type=int, default=20)
-    p.add_argument("--protected", type=int, default=10)
-    p.add_argument("--tau", type=float, default=0.7)
+    p.add_argument("--pool", type=int, default=RefinementConfig.pool)
+    p.add_argument("--target", type=int, default=RefinementConfig.target)
+    p.add_argument("--protected", type=int, default=RefinementConfig.protected)
+    p.add_argument("--tau", type=float, default=RefinementConfig.threshold)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_refine)
 

@@ -120,14 +120,15 @@ def check_keys(what: str, overrides, keys) -> None:
 
 
 # the values a config field of each default's type takes (bools aside)
-_ACCEPTS = {int: numbers.Integral, float: numbers.Real, bool: bool, str: str, list: list}
+_ACCEPTS = {int: numbers.Integral, float: numbers.Real, bool: bool, str: str, list: list,
+            dict: dict}
 
 
 def check_config(what: str, overrides, types: dict) -> None:
     """DataError unless ``overrides`` is an object whose every key is in
     ``types`` (key -> the type of its default) and whose every value has its
     key's type: an int takes ints but not bools, a float ints or floats, a
-    bool bools, a str strings and a list lists."""
+    bool bools, a str strings, a list lists and a dict dicts."""
     check_keys(what, overrides, types)
     for key, value in overrides.items():
         want = types[key]
@@ -249,7 +250,9 @@ class Dataset:
         )
 
     def with_weights(self, w) -> "Dataset":
-        return Dataset(self.X.copy(), self.y.copy(), np.asarray(w, float), list(self.feature_names))
+        """The same rows under weights ``w``; X and y are shared, not
+        copied (nothing writes into a Dataset's arrays)."""
+        return Dataset(self.X, self.y, np.asarray(w, float), list(self.feature_names))
 
 
 def ingest_csv(path, config: PrepConfig) -> RawTable:

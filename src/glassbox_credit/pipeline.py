@@ -15,6 +15,7 @@ import dataclasses
 import hashlib
 import inspect
 import json
+import numbers
 import os
 from dataclasses import asdict, dataclass, field
 
@@ -34,16 +35,17 @@ from .data import (
     write_atomic,
     zscore,
 )
-from .ebm import EbmConfig, EbmModel, detect_pairs, fit_ebm, fit_pairs, importance_ebm
+from .ebm import EbmConfig, detect_pairs, fit_ebm, fit_pairs, importance_ebm
 from .errors import DataError, GlassboxError
-from .gbdt import GbdtConfig, GbdtModel, fit_gbdt
-from .linear import LinearModel, fit_logistic
+from .gbdt import GbdtConfig, fit_gbdt
+from .linear import fit_logistic
 from .metrics import evaluate_scores
 from .persist import MODEL_KINDS
 from .pltr import fit_pltr
 from .ranking import METHODS, RankedFeatures, rank_from_scores
 
 PLATEAU_EPS = 0.002
+DEFAULT_PAIR_COUNTS = tuple(range(10))  # the pair sweep's counts when none are given
 
 
 @dataclass
@@ -133,33 +135,33 @@ def _dataclass_config(what: str, cls, overrides):
     return cls(**overrides)
 
 
-# the keyword arguments lr and pltr configs may set, with the types of their
-# defaults: the fit function's parameters with a value default (pltr's
-# ``validation`` is a dataset). pltr's ``lam`` is a number, or "auto".
-_FIT_TYPES = {
-    kind: {p.name: float if p.name == "lam" else type(p.default)
-           for p in inspect.signature(fit).parameters.values()
-           if p.default is not p.empty and p.default is not None}
-    for kind, fit in (("lr", fit_logistic), ("pltr", fit_pltr))
+# each model kind's config with nothing overridden: the fields of gbdt's and
+# ebm's config dataclasses, and the keyword arguments of the lr and pltr fit
+# functions that have a value default (pltr's ``validation`` is a dataset)
+_CONFIG_CLASSES = {"gbdt": GbdtConfig, "ebm": EbmConfig}
+_DEFAULTS = {
+    **{kind: cls().as_dict() for kind, cls in _CONFIG_CLASSES.items()},
+    **{kind: {p.name: p.default for p in inspect.signature(fit).parameters.values()
+              if p.default is not p.empty and p.default is not None}
+       for kind, fit in (("lr", fit_logistic), ("pltr", fit_pltr))},
 }
 
 
-def _model_config(kind: str, overrides):
-    """The checked config of ``kind``: a GbdtConfig or EbmConfig, or for lr
-    and pltr the dict of fit keyword arguments. Raises DataError for an
-    unknown kind, a config that is not an object, or a key or value the
-    kind does not take."""
+def _model_config(kind: str, overrides) -> dict:
+    """The checked config of ``kind``: its defaults updated by ``overrides``,
+    as one dict. Each value must have its default's type (pltr's ``lam`` is
+    a number, or "auto"). Raises DataError for an unknown kind, a config
+    that is not an object, or a key or value the kind does not take."""
     if kind not in MODEL_KINDS:
         raise DataError(f"unknown model kind {kind!r}; options: {MODEL_KINDS}")
+    types = {key: float if key == "lam" else type(v) for key, v in _DEFAULTS[kind].items()}
     overrides = {} if overrides is None else overrides
-    if kind == "gbdt":
-        return _dataclass_config(kind, GbdtConfig, overrides)
-    if kind == "ebm":
-        return _dataclass_config(kind, EbmConfig, overrides)
-    check_keys(kind, overrides, _FIT_TYPES[kind])
-    numeric = {k: v for k, v in overrides.items() if (k, v) != ("lam", "auto")}
-    check_config(kind, numeric, _FIT_TYPES[kind])
-    return dict(overrides)
+    check_keys(kind, overrides, types)
+    check_config(kind, {k: v for k, v in overrides.items() if (k, v) != ("lam", "auto")}, types)
+    config = dict(_DEFAULTS[kind], **overrides)
+    if kind in _CONFIG_CLASSES:
+        _CONFIG_CLASSES[kind](**config)  # the dataclass's own range checks
+    return config
 
 
 def _check_model_configs(configs) -> dict:
@@ -173,13 +175,21 @@ def _check_model_configs(configs) -> dict:
     return configs
 
 
-def train_model(kind: str, train: Dataset, config: dict | None = None):
-    """Fit one model kind on the given (already weighted) training data.
+def train_model(kind: str, train: Dataset, config: dict | None = None, fits: dict | None = None):
+    """The ``kind`` model that ``config`` fits on ``train`` (class-weighted,
+    its columns selected); every fit from a config goes through here.
 
-    LR standardizes internally and stores the train statistics on the model,
+    ``fits`` is the memo of one run's fits on one train split, keyed by the
+    kind, the column names and the checked config; a fit it holds is
+    returned, not made again. Without one, a fresh memo is used. LR
+    standardizes internally and stores the train statistics on the model,
     so every kind predicts from raw feature values.
     """
     config = _model_config(kind, config)
+    fits = {} if fits is None else fits
+    key = (kind, tuple(train.feature_names), repr(sorted(config.items())))
+    if key in fits:
+        return fits[key]
     if kind == "lr":
         means = train.X.mean(axis=0)
         stds = train.X.std(axis=0)
@@ -187,28 +197,14 @@ def train_model(kind: str, train: Dataset, config: dict | None = None):
                            list(train.feature_names))
         model = fit_logistic(std_data, **config)
         model.means, model.stds = means, stds
-        return model
-    if kind == "gbdt":
-        return fit_gbdt(train, config)
-    if kind == "ebm":
-        return fit_ebm(train, config)
-    return fit_pltr(train, **config)
-
-
-def _fit(kind: str, train: Dataset, config, fits: dict | None):
-    """The ``kind`` model that ``config`` fits on ``train`` (class-weighted,
-    its columns selected). ``fits`` is the memo of one run's fits on one
-    train split, keyed by the kind, the column names and the config in
-    canonical form; a fit it holds is returned, not made again. With None,
-    the model is fitted afresh."""
-    if fits is None:
-        return train_model(kind, train, config)
-    checked = _model_config(kind, config)
-    canonical = checked.as_dict() if kind in ("gbdt", "ebm") else checked
-    key = (kind, tuple(train.feature_names), repr(sorted(canonical.items())))
-    if key not in fits:
-        fits[key] = train_model(kind, train, config)
-    return fits[key]
+    elif kind == "gbdt":
+        model = fit_gbdt(train, GbdtConfig(**config))
+    elif kind == "ebm":
+        model = fit_ebm(train, EbmConfig(**config))
+    else:
+        model = fit_pltr(train, **config)
+    fits[key] = model
+    return model
 
 
 def step1_train_base(
@@ -222,29 +218,29 @@ def step1_train_base(
     return _fit_scored(train, test, train.feature_names, kind, config, threshold)
 
 
-def step2_rank(model, data: Dataset, method: str) -> RankedFeatures:
-    """Rank encoded features by importance in the fitted model.
+# the model kind each ranking method ranks
+RANKED_KIND = {"coef": "lr", "shap": "gbdt", "ebm": "ebm"}
 
-    Pairings: ``coef`` needs an LR fitted on standardized features, ``shap``
-    a GBDT, ``ebm`` an additive shape model.
+
+def step2_rank(model, data: Dataset, method: str) -> RankedFeatures:
+    """Rank encoded features by importance in the fitted model, which must
+    be of the kind ``method`` ranks (``RANKED_KIND``): ``coef`` an LR fitted
+    on standardized features, ``shap`` a GBDT, ``ebm`` an additive shape
+    model.
     """
+    if method not in RANKED_KIND:
+        raise DataError(f"unknown ranking method {method!r}; options: {'|'.join(METHODS)}")
+    if persist.model_kind(model) != RANKED_KIND[method]:
+        raise DataError(f"{method} ranking requires a {RANKED_KIND[method]} model")
     if method == "coef":
-        if not isinstance(model, LinearModel):
-            raise DataError("coef ranking requires a linear model")
         if model.stds is None:
             raise DataError("coef ranking requires standardization statistics")
         return rank_from_scores(
             model.feature_names, np.abs(model.coef).tolist(), method="coef"
         )
     if method == "shap":
-        if not isinstance(model, GbdtModel):
-            raise DataError("shap ranking requires a gbdt model")
         return global_importance(model, data, max_rows=4096)
-    if method == "ebm":
-        if not isinstance(model, EbmModel):
-            raise DataError("ebm ranking requires an ebm model")
-        return importance_ebm(model, data)
-    raise DataError(f"unknown ranking method {method!r}; options: {'|'.join(METHODS)}")
+    return importance_ebm(model, data)
 
 
 def step3_train_reduced(
@@ -262,13 +258,13 @@ def step3_train_reduced(
 
 def _fit_scored(train, test, names, kind, config, threshold, report=None, fits=None):
     """Fit ``kind`` on the ``names`` columns of the class-weighted train
-    split through the ``fits`` memo (see ``_fit``) and score the test split.
-    With ``report``, also score the train split and add the row. Returns
-    (model, test metrics)."""
+    split through the ``fits`` memo (see ``train_model``) and score the
+    test split. With ``report``, also score the train split and add the
+    row. Returns (model, test metrics)."""
     if not 1 <= len(names) <= train.d:
         raise DataError(f"k must be in [1, {train.d}], got {len(names)}")
     red_train = apply_class_weights(train.select_features(names))
-    model = _fit(kind, red_train, config, fits)
+    model = train_model(kind, red_train, config, fits)
     test_rep = evaluate_scores(
         model.predict_proba(test.select_features(names).X), test.y, threshold
     )
@@ -293,8 +289,8 @@ def sweep_k(
 
     The plateau is the smallest k whose AUPRC gain to the next larger k
     falls below ``epsilon``. Models are fitted through the ``fits`` memo
-    of ``train`` (see ``_fit``), so a fit an earlier stage made is scored,
-    not made again.
+    of ``train`` (see ``train_model``), so a fit an earlier stage made is
+    scored, not made again.
     """
     if list(ks) != sorted(ks):
         raise DataError("ks must be sorted ascending")
@@ -339,8 +335,9 @@ def sweep_interactions(
     added in ranked order, so the p = 0 row is exactly the plain reduced
     model. Counts above the k(k-1)/2 pairs that exist fit all of them, and
     each count is fitted and reported once. The mains model is fitted
-    through the ``fits`` memo of ``train`` (see ``_fit``). Reports the
-    maximum relative F1 improvement over p = 0.
+    through the ``fits`` memo of ``train`` (see ``train_model``), and the
+    pair terms boost under its config. Reports the maximum relative F1
+    improvement over p = 0.
     """
     pair_counts = [int(p) for p in pair_counts]
     if pair_counts and min(pair_counts) < 0:
@@ -350,17 +347,17 @@ def sweep_interactions(
     pair_counts = sorted({min(p, available) for p in pair_counts})
     red_train = apply_class_weights(train.select_features(names))
     red_test = test.select_features(names)
-    ebm_config = dataclasses.replace(_model_config("ebm", config), n_pairs=0)
-    mains = _fit("ebm", red_train, ebm_config.as_dict(), fits)
+    ebm_config = dict(_model_config("ebm", config), n_pairs=0)
+    mains = train_model("ebm", red_train, ebm_config, fits)
     max_pairs = max(pair_counts) if pair_counts else 0
     candidates = detect_pairs(red_train, mains, max_pairs) if max_pairs else []
     report = ExperimentReport(
-        config={"k": k, "pair_counts": pair_counts, "ebm": ebm_config.as_dict()}
+        config={"k": k, "pair_counts": pair_counts, "ebm": ebm_config}
     )
     f1_base = None
     best_improvement = 0.0
     for p in pair_counts:
-        model = fit_pairs(red_train, mains, candidates[:p], ebm_config) if p else mains
+        model = fit_pairs(red_train, mains, candidates[:p]) if p else mains
         train_rep = evaluate_scores(model.predict_proba(red_train.X), train.y, threshold)
         test_rep = evaluate_scores(model.predict_proba(red_test.X), test.y, threshold)
         report.add_row("ebm", names, train_rep, test_rep, n_pairs=p)
@@ -459,6 +456,85 @@ DEFAULT_EXPERIMENT = {
 }
 
 
+# the keys of an experiment config, each with the type of its value; a key
+# whose default is None may also be null
+_EXPERIMENT_TYPES = {
+    "dataset": dict, "base_kind": str, "rank_method": str, "k": int, "reduced_kinds": list,
+    "model_configs": dict, "sweep_ks": list, "sweep_pairs": dict, "refinement": dict,
+    "threshold": float, "plateau_epsilon": float,
+}
+# the keys of a dataset spec: a synthetic preset, or a raw CSV and its prep config
+_PRESET_TYPES = {"preset": str, "n_train": int, "n_test": int, "seed": int}
+_CSV_TYPES = {"train_csv": str, "prep_config": str}
+
+
+def _check_ints(what: str, key: str, values: list, low: int) -> None:
+    if any(isinstance(v, bool) or not isinstance(v, numbers.Integral) or v < low for v in values):
+        raise DataError(f"{what} config key {key!r} must be a list of ints >= {low}, got {values!r}")
+
+
+def _checked_experiment(config: dict):
+    """The model configs and the RefinementConfig (or None) of ``config``,
+    an experiment config with its defaults merged in, once every part that
+    can be checked without the data passes: the keys and value types of the
+    config, its dataset spec, ``sweep_pairs`` and ``refinement``; model
+    kinds in ``reduced_kinds``; a ``base_kind`` that ``rank_method`` ranks;
+    and ``sweep_ks`` sorted. Raises DataError naming the key otherwise."""
+    nullable = {key for key, value in DEFAULT_EXPERIMENT.items() if value is None}
+    check_config("experiment", {key: value for key, value in config.items()
+                                if value is not None or key not in nullable}, _EXPERIMENT_TYPES)
+    spec = config["dataset"]
+    if "preset" in spec:
+        check_config("dataset", spec, _PRESET_TYPES)
+        if spec["preset"] not in synth.PRESETS:
+            raise DataError(f"dataset config key 'preset' must be one of {synth.PRESETS}, "
+                            f"got {spec['preset']!r}")
+    else:
+        check_config("dataset", spec, _CSV_TYPES)
+        missing = [key for key in _CSV_TYPES if key not in spec]
+        if missing:
+            raise DataError(f"dataset config needs 'preset' or {missing[0]!r}")
+    for kind in config["reduced_kinds"]:
+        if kind not in MODEL_KINDS:
+            raise DataError(f"experiment config key 'reduced_kinds' names {kind!r}, "
+                            f"not a model kind; options: {MODEL_KINDS}")
+    method = config["rank_method"]
+    if method not in RANKED_KIND:
+        raise DataError(f"experiment config key 'rank_method' must be one of {METHODS}, "
+                        f"got {method!r}")
+    if config["base_kind"] != RANKED_KIND[method]:
+        raise DataError(f"experiment config key 'base_kind' must be {RANKED_KIND[method]!r}, "
+                        f"the kind rank_method {method!r} ranks, got {config['base_kind']!r}")
+    if config["sweep_ks"] is not None:
+        _check_ints("experiment", "sweep_ks", config["sweep_ks"], 1)
+        if config["sweep_ks"] != sorted(config["sweep_ks"]):
+            raise DataError(f"experiment config key 'sweep_ks' must be sorted ascending, "
+                            f"got {config['sweep_ks']!r}")
+    if config["sweep_pairs"] is not None:
+        check_config("sweep_pairs", config["sweep_pairs"], {"k": int, "pair_counts": list})
+        _check_ints("sweep_pairs", "pair_counts", config["sweep_pairs"].get("pair_counts", []), 0)
+    refinement = config["refinement"]
+    if refinement is not None:
+        refinement = _dataclass_config("refinement", RefinementConfig, refinement)
+    return _check_model_configs(config["model_configs"]), refinement
+
+
+def _check_widths(config: dict, refinement, d: int) -> None:
+    """DataError naming the key unless every k of ``config`` is in [1, d],
+    and the refinement pool at most d, for data ``d`` columns wide."""
+    ks = [("experiment", "k", config["k"])]
+    ks += [("experiment", "sweep_ks", k) for k in config["sweep_ks"] or []]
+    if config["sweep_pairs"] is not None:
+        ks.append(("sweep_pairs", "k", config["sweep_pairs"].get("k", config["k"])))
+    for what, key, k in ks:
+        if not 1 <= k <= d:
+            raise DataError(f"{what} config key {key!r} must be in [1, {d}], the data's "
+                            f"width, got {k!r}")
+    if refinement is not None and refinement.pool > d:
+        raise DataError(f"refinement config key 'pool' must be at most {d}, the data's "
+                        f"width, got {refinement.pool!r}")
+
+
 def _load_experiment_datasets(spec: dict):
     if "preset" in spec:
         train, test, _ = synth.generate(
@@ -468,9 +544,6 @@ def _load_experiment_datasets(spec: dict):
             seed=spec.get("seed", synth.DEFAULT_SEED),
         )
         return train, test
-    for key in ("train_csv", "prep_config"):
-        if key not in spec:
-            raise DataError(f"dataset spec needs 'preset' or '{key}'")
     if not os.path.exists(spec["train_csv"]):
         raise DataError(f"missing dataset path {spec['train_csv']}")
     config = PrepConfig.from_json_file(spec["prep_config"])
@@ -516,21 +589,17 @@ def run_full(config: dict | str, out_dir) -> ExperimentReport:
     Writes models, rankings, and reports as JSON plus a ``manifest.json``
     with a sha256 per artifact; identical config and inputs give an
     identical manifest. A lock file guards against concurrent writers.
-    The model configs and the refinement block are checked before anything
-    is written. Every stage fits through one memo, so a model two stages
-    need is fitted once.
+    The config is checked before the output directory is made, and every
+    k against the data's width before stage 1, so a malformed config
+    writes nothing. Every stage fits through one memo, so a model two
+    stages need is fitted once.
     """
     if isinstance(config, str):
         config = read_json(config)
     if not isinstance(config, dict):
         raise DataError(f"experiment config must be an object, got {config!r}")
-    merged = dict(DEFAULT_EXPERIMENT)
-    merged.update(config)
-    config = merged
-    model_configs = _check_model_configs(config.get("model_configs"))
-    refine_cfg = config.get("refinement")
-    if refine_cfg is not None:
-        refine_cfg = _dataclass_config("refinement", RefinementConfig, refine_cfg)
+    config = {**DEFAULT_EXPERIMENT, **config}
+    model_configs, refine_cfg = _checked_experiment(config)
 
     os.makedirs(out_dir, exist_ok=True)
     lock_path = os.path.join(out_dir, ".lock")
@@ -550,9 +619,19 @@ def run_full(config: dict | str, out_dir) -> ExperimentReport:
             fh.write(text)  # exactly the text's UTF-8 bytes
         artifacts[name] = hashlib.sha256(text.encode("utf-8")).hexdigest()
 
+    def fit_reduced(names, artifact: str):
+        """Fit, score and report each reduced kind on the ``names`` columns;
+        emit each model as ``artifact`` filled in with its kind."""
+        for kind in config["reduced_kinds"]:
+            model, _ = _fit_scored(
+                train, test, names, kind, model_configs.get(kind), threshold, report, fits
+            )
+            emit(artifact.format(kind=kind), persist.dumps(model))
+
     try:
         with _stage(0, "load data"):
             train, test = _load_experiment_datasets(config["dataset"])
+        _check_widths(config, refine_cfg, train.d)
         threshold = config.get("threshold", 0.5)
         report = ExperimentReport(config=config)
         fits = {}  # the memo of this run's fits on `train`
@@ -571,12 +650,7 @@ def run_full(config: dict | str, out_dir) -> ExperimentReport:
 
         with _stage(3, "train reduced models"):
             k = config["k"]
-            for kind in config["reduced_kinds"]:
-                model, _ = _fit_scored(
-                    train, test, ranked.top(k), kind, model_configs.get(kind),
-                    threshold, report, fits,
-                )
-                emit(f"reduced_{kind}_k{k}.json", persist.dumps(model))
+            fit_reduced(ranked.top(k), f"reduced_{{kind}}_k{k}.json")
 
         if config.get("sweep_ks"):
             with _stage(4, "k sweep"):
@@ -601,7 +675,7 @@ def run_full(config: dict | str, out_dir) -> ExperimentReport:
                     test,
                     ranked,
                     spec.get("k", k),
-                    spec.get("pair_counts", list(range(10))),
+                    spec.get("pair_counts", DEFAULT_PAIR_COUNTS),
                     model_configs.get("ebm"),
                     threshold,
                     fits=fits,
@@ -612,12 +686,7 @@ def run_full(config: dict | str, out_dir) -> ExperimentReport:
             with _stage(6, "correlation refinement"):
                 refined = refine_correlation(train, ranked, refine_cfg)
                 emit("ranking_refined.json", refined.to_json())
-                for kind in config["reduced_kinds"]:
-                    model, _ = _fit_scored(
-                        train, test, refined.names, kind, model_configs.get(kind),
-                        threshold, report, fits,
-                    )
-                    emit(f"refined_{kind}.json", persist.dumps(model))
+                fit_reduced(refined.names, "refined_{kind}.json")
 
         with _stage(7, "write reports"):
             emit("report.json", report.to_json())

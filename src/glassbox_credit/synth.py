@@ -29,6 +29,8 @@ DUPLICATE_OFFSET = 40
 DUPLICATE_NOISE = 0.35
 TARGET_RATE = 0.2
 DEFAULT_SEED = 20240614
+DEFAULT_N_TRAIN = 30_000
+DEFAULT_N_TEST = 10_000
 
 PRESETS = ("additive", "xor", "redundant", "threshold")
 
@@ -66,8 +68,8 @@ def _tune_intercept(raw_margin: np.ndarray, rate: float) -> float:
 
 def generate(
     preset: str = "additive",
-    n_train: int = 30_000,
-    n_test: int = 10_000,
+    n_train: int = DEFAULT_N_TRAIN,
+    n_test: int = DEFAULT_N_TEST,
     seed: int = DEFAULT_SEED,
 ):
     """Returns (train, test, truth)."""
@@ -130,7 +132,8 @@ TEST_DATE = "Oct-2016"
 CUTOFF = "2015-07-31"
 
 
-def write_csv(preset: str, path, config_path=None, n_train=30_000, n_test=10_000, seed=DEFAULT_SEED):
+def write_csv(preset: str, path, config_path=None, n_train=DEFAULT_N_TRAIN, n_test=DEFAULT_N_TEST,
+              seed=DEFAULT_SEED):
     """Write the preset as a raw CSV (with categorical target and Mon-YYYY
     dates) plus a matching prep-config JSON, exercising the full ingestion
     path."""

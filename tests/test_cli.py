@@ -1,4 +1,5 @@
 import csv
+import inspect
 import json
 import os
 import subprocess
@@ -246,6 +247,29 @@ def test_refine_cli(artifacts):
     assert len(doc["features"]) == 6
 
 
+def test_cli_defaults_are_the_library_defaults():
+    from glassbox_credit import pipeline, synth
+    from glassbox_credit.cli import build_parser
+
+    parse = build_parser().parse_args
+    refine = parse(["refine", "--train", "t", "--ranking", "r", "--out", "o"])
+    library = pipeline.RefinementConfig()
+    assert (refine.pool, refine.target, refine.protected, refine.tau) == (
+        library.pool, library.target, library.protected, library.threshold)
+    sweep = parse(["sweep-k", "--train", "t", "--test", "t", "--ranking", "r", "--ks", "2",
+                   "--out", "o"])
+    assert sweep.epsilon == pipeline.PLATEAU_EPS
+    assert sweep.epsilon == inspect.signature(pipeline.sweep_k).parameters["epsilon"].default
+    pairs = parse(["sweep-pairs", "--train", "t", "--test", "t", "--ranking", "r", "--k", "2",
+                   "--out", "o"])
+    assert pairs.pairs == list(pipeline.DEFAULT_PAIR_COUNTS)
+    made = parse(["synth", "--out", "o"])
+    written = inspect.signature(synth.write_csv).parameters
+    assert made.n_train == written["n_train"].default
+    assert made.n_test == written["n_test"].default
+    assert made.seed == written["seed"].default
+
+
 def test_run_subcommand(tmp_path):
     cfg = tmp_path / "exp.json"
     cfg.write_text(json.dumps({
@@ -405,6 +429,99 @@ def test_run_rejects_a_malformed_config_before_writing(tmp_path, capsys, changes
     assert code == 2
     assert err.startswith("error:") and "Traceback" not in err
     assert not out.exists()
+
+
+RUN_CONFIG = {"dataset": {"preset": "additive", "n_train": 300, "n_test": 100},
+              "model_configs": {"gbdt": {"rounds": 2}}, "k": 3}
+
+# (changes to RUN_CONFIG, the key the error names); the schema states each
+# of the first six too, but neither an order nor the data's width
+MALFORMED_EXPERIMENTS = [
+    pytest.param({"k": "10"}, "'k'", id="k-type"),
+    pytest.param({"dataset": {"preset": "additive", "n_train": "300"}}, "'n_train'",
+                 id="dataset-value"),
+    pytest.param({"sweep_pairs": {"k": 10, "pair_counts": 3}}, "'pair_counts'",
+                 id="pair-counts-type"),
+    pytest.param({"reduced_kinds": "ebm"}, "'reduced_kinds'", id="reduced-kinds-type"),
+    pytest.param({"kk": 3}, "'kk'", id="unknown-key"),
+    pytest.param({"base_kind": "pltr"}, "'base_kind'", id="base-kind"),
+    pytest.param({"sweep_ks": [8, 4]}, "'sweep_ks'", id="unsorted-sweep-ks"),
+    pytest.param({"k": 51}, "'k'", id="k-over-width"),
+    pytest.param({"sweep_ks": [2, 60]}, "'sweep_ks'", id="sweep-ks-over-width"),
+]
+SCHEMA_STATES = 6
+
+
+@pytest.mark.parametrize(("changes", "key"), MALFORMED_EXPERIMENTS)
+def test_run_names_the_bad_key_and_writes_nothing_in_dev_mode(tmp_path, changes, key):
+    """A malformed experiment config exits 2 in a fresh interpreter under
+    ``-X dev -W error``, naming the key, with no traceback and no file in
+    the output directory (one width check needs the data, so the empty
+    directory may exist)."""
+    cfg = tmp_path / "exp.json"
+    cfg.write_text(json.dumps({**RUN_CONFIG, **changes}))
+    out = tmp_path / "run"
+    proc = subprocess.run(
+        [sys.executable, "-X", "dev", "-W", "error", "-m", "glassbox_credit.cli", "run",
+         "--config", str(cfg), "--out-dir", str(out)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error:") and key in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not out.exists() or not any(out.iterdir())
+
+
+def _experiment_schema():
+    path = os.path.join(os.path.dirname(__file__), "..", "schemas", "experiment-config.schema.json")
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def _demo_config():
+    import ast
+
+    path = os.path.join(os.path.dirname(__file__), "..", "demos", "reproducible_runs.py")
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    return next(ast.literal_eval(node.value) for node in tree.body
+                if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", "") == "config")
+
+
+def test_experiment_schema_takes_every_valid_config():
+    import jsonschema
+
+    from glassbox_credit.pipeline import DEFAULT_EXPERIMENT
+    from test_pipeline import _glassbox_family_config, _k_sweep_config
+
+    schema = _experiment_schema()
+    for config in (DEFAULT_EXPERIMENT, _demo_config(), RUN_CONFIG,
+                   _glassbox_family_config(), _k_sweep_config()):
+        jsonschema.validate(config, schema)
+
+
+@pytest.mark.parametrize(("changes", "key"), MALFORMED_EXPERIMENTS[:SCHEMA_STATES])
+def test_experiment_schema_rejects_what_run_rejects(changes, key):
+    import jsonschema
+
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate({**RUN_CONFIG, **changes}, _experiment_schema())
+
+
+def test_experiment_schema_lists_every_model_config_key():
+    from glassbox_credit import pipeline
+
+    schema_types = {int: "integer", float: "number", bool: "boolean"}
+    kinds = _experiment_schema()["properties"]["model_configs"]["properties"]
+    assert set(kinds) == set(pipeline.MODEL_KINDS)
+    for kind, defaults in pipeline._DEFAULTS.items():
+        keys = kinds[kind]["properties"]
+        assert kinds[kind]["additionalProperties"] is False
+        assert set(keys) == set(defaults)
+        for key, value in defaults.items():
+            if key != "lam":
+                assert keys[key]["type"] == schema_types[type(value)], (kind, key)
 
 
 @pytest.fixture(scope="module")

@@ -522,6 +522,14 @@ def test_class_weights_known_value():
     assert weighted.w.sum() == pytest.approx(10.0)  # total mass preserved
 
 
+def test_class_weights_share_the_data():
+    data = Dataset(np.arange(20.0).reshape(10, 2), np.array([1.0, 0.0] * 5), np.ones(10), ["a", "b"])
+    weighted = apply_class_weights(data)
+    assert np.shares_memory(weighted.X, data.X)
+    assert np.shares_memory(weighted.y, data.y)
+    assert not np.shares_memory(weighted.w, data.w)
+
+
 def test_standardize_stats_and_zero_variance():
     X = np.array([[1.0, 5.0], [3.0, 5.0], [5.0, 5.0]])
     train = Dataset(X, np.array([0.0, 1.0, 0.0]), np.ones(3), ["a", "b"])

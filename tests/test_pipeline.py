@@ -493,21 +493,90 @@ def test_fit_memo_returns_only_the_same_fit(small_splits):
     train, _ = small_splits
     data = apply_class_weights(train.select_features(["f0", "f1"]))
     fits = {}
-    gbdt = pipeline._fit("gbdt", data, {"rounds": 2}, fits)
-    assert pipeline._fit("gbdt", data, {"rounds": 2}, fits) is gbdt
+    gbdt = pipeline.train_model("gbdt", data, {"rounds": 2}, fits=fits)
+    assert pipeline.train_model("gbdt", data, {"rounds": 2}, fits=fits) is gbdt
     # a default spelled out is the same config
-    assert pipeline._fit("gbdt", data, {"rounds": 2, "eta": 0.1}, fits) is gbdt
+    assert pipeline.train_model("gbdt", data, {"rounds": 2, "eta": 0.1}, fits=fits) is gbdt
     others = [
-        pipeline._fit("gbdt", data, {"rounds": 3}, fits),
-        pipeline._fit("gbdt", apply_class_weights(train.select_features(["f0", "f2"])),
-                      {"rounds": 2}, fits),
-        pipeline._fit("ebm", data, {"rounds": 2}, fits),
-        pipeline._fit("pltr", data, {"lam": 0}, fits),
-        pipeline._fit("pltr", data, {"lam": 0.5}, fits),
+        pipeline.train_model("gbdt", data, {"rounds": 3}, fits=fits),
+        pipeline.train_model("gbdt", apply_class_weights(train.select_features(["f0", "f2"])),
+                             {"rounds": 2}, fits=fits),
+        pipeline.train_model("ebm", data, {"rounds": 2}, fits=fits),
+        pipeline.train_model("pltr", data, {"lam": 0}, fits=fits),
+        pipeline.train_model("pltr", data, {"lam": 0.5}, fits=fits),
     ]
     assert all(model is not gbdt for model in others)
     assert others[3] is not others[4]
     assert len(fits) == 6
+
+
+# the function each kind's fit reaches through pipeline's module globals,
+# which a tracer rebinds to see the fit
+FIT_FUNCTIONS = {"gbdt": "fit_gbdt", "ebm": "fit_ebm", "pltr": "fit_pltr", "lr": "fit_logistic"}
+
+
+@pytest.fixture()
+def traced_fits(monkeypatch):
+    """Counting wrappers on pipeline's fit functions and ``global_importance``,
+    rebound as a tracer rebinds them, and every memo ``train_model`` is
+    given. Returns (the wrappers' calls, the memos, the train_model calls)."""
+    calls, memos, requests = [], {}, []
+    for name in [*FIT_FUNCTIONS.values(), "global_importance"]:
+        real = getattr(pipeline, name)
+
+        def counting(data_or_model, *args, _name=name, _real=real, **kwargs):
+            names = getattr(data_or_model, "feature_names", None)
+            calls.append((_name, tuple(names or ())))
+            return _real(data_or_model, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline, name, counting)
+    real_train = pipeline.train_model
+
+    def recording(kind, train, config=None, fits=None):
+        assert fits is not None  # a run's fits share one memo
+        memos[id(fits)] = fits
+        requests.append(kind)
+        return real_train(kind, train, config, fits)
+
+    monkeypatch.setattr(pipeline, "train_model", recording)
+    return calls, memos, requests
+
+
+def _select_shap_config(**changes):
+    return {
+        "dataset": {"preset": "additive", "n_train": 400, "n_test": 300},
+        "base_kind": "gbdt",
+        "rank_method": "shap",
+        "model_configs": {"gbdt": {"rounds": 3}, "ebm": {"rounds": 15, "pair_rounds": 10}},
+        "k": 5,
+        "reduced_kinds": ["ebm"],
+        "sweep_ks": [3, 5],
+        "sweep_pairs": {"k": 5, "pair_counts": [0, 2]},
+        **changes,
+    }
+
+
+def test_every_fit_reaches_the_traced_names(tmp_path, traced_fits):
+    """Each memo miss of a run reaches the fit function that pipeline's
+    module globals name, in the order of the misses; no memo hit does."""
+    from glassbox_credit import synth
+
+    raw, prep = tmp_path / "raw.csv", tmp_path / "prep.json"
+    synth.write_csv("redundant", raw, prep, n_train=300, n_test=200)
+    glassbox = _glassbox_family_config(
+        dataset={"train_csv": str(raw), "prep_config": str(prep)}, sweep_ks=[3, 5]
+    )
+    calls, memos, requests = traced_fits
+    for name, config in (("select-shap", _select_shap_config()), ("glassbox-family", glassbox)):
+        for log in (calls, memos, requests):
+            log.clear()
+        run_full(config, tmp_path / name)
+        (fits,) = memos.values()
+        fitted = [call for call in calls if call[0] != "global_importance"]
+        assert fitted == [(FIT_FUNCTIONS[kind], names) for kind, names, _ in fits]
+        assert len(requests) > len(fits)  # the sweeps hit the memo
+        ranked = [call for call in calls if call[0] == "global_importance"]
+        assert len(ranked) == (name == "select-shap")
 
 
 def test_refinement_keeping_the_top_k_reuses_stage_3(tmp_path, count_ebm_fits, count_pltr_fits):
